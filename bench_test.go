@@ -7,8 +7,9 @@
 // Every benchmark reports the same two perf-trajectory metrics on top of
 // its paper-facing ones: cells/sec (simulation cells — grid points, sweep
 // runs, device ops — completed per wall-clock second; see reportCells) and
-// allocs/op (via b.ReportAllocs). scripts/bench.sh collects them into
-// BENCH_PR6.json, which CI diffs against the committed baseline.
+// allocs/op (via b.ReportAllocs). They are for measuring while working on
+// one layer; the repository's end-to-end benchmark, with spreads and
+// correctness checks, is perfbench/ (perfbench/README.md).
 //
 // Run: go test -bench=. -benchmem
 package essdsim_test

@@ -45,6 +45,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -54,618 +55,152 @@ import (
 	"time"
 
 	"essdsim"
+	"essdsim/internal/cli"
 	"essdsim/internal/fio"
-	"essdsim/internal/profiling"
 	"essdsim/internal/workload"
 )
 
-func main() {
-	var (
-		device   = flag.String("device", "essd1", "device profile(s): "+strings.Join(essdsim.ProfileNames(), ", "))
-		rw       = flag.String("rw", "randread", "pattern(s): randread, randwrite, read, write, randrw")
-		bs       = flag.String("bs", "4k", "I/O size(s) (k/m suffixes)")
-		iodepth  = flag.String("iodepth", "1", "queue depth(s)")
-		runtime  = flag.String("runtime", "1s", "measurement duration (simulated)")
-		warmup   = flag.String("warmup", "100ms", "warmup excluded from stats")
-		size     = flag.String("size", "", "stop after this many bytes instead of runtime")
-		mixPct   = flag.Int("rwmixwrite", 50, "write percentage for randrw")
-		seed     = flag.Uint64("seed", 1, "deterministic seed")
-		jobFile  = flag.String("job", "", "fio job file (overrides workload flags)")
-		precond  = flag.String("precondition", "auto", "auto, full, half, none")
-		rate     = flag.String("rate", "0", "open-loop arrival rate(s) (req/s); 0 = closed loop at -iodepth")
-		arrival  = flag.String("arrival", "uniform", "open-loop arrival shape(s): uniform, poisson, bursty")
-		ops      = flag.Uint64("ops", 10000, "open-loop request count per cell (with -rate)")
-		workers  = flag.Int("workers", 0, "parallel sweep cells (0 = GOMAXPROCS)")
-		sloP99   = flag.Duration("slo-p99", 0, "latency-SLO search mode: find the highest rate with p99 under this")
-		sloP999  = flag.Duration("slo-p999", 0, "additional p99.9 target for the SLO search")
-		sloRange = flag.String("slo-range", "100,4000", "SLO search rate range min,max (req/s)")
-		sloTol   = flag.Float64("slo-tol", 0, "SLO search convergence width in req/s (default range/64)")
-		cacheF   = flag.String("cache", "", "sweep-cache JSON file for SLO probes and sweep cells (loaded if present, saved on exit)")
-		traceF   = flag.String("trace", "", "trace-replay mode: replay this trace file on the device(s)")
-		traceFmt = flag.String("trace-format", "text", "trace file format: text (native) or msr (MSR-Cambridge CSV)")
-		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProf  = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-		isoName  = flag.String("isolation", "fifo", "backend QoS isolation policy: fifo, wfq, or reservation (essd-class devices)")
-		qosWt    = flag.Float64("weight", 0, "volume scheduling weight under -isolation wfq/reservation (0 = default 1)")
-		qosResv  = flag.Float64("reserved-bps", 0, "volume reserved backend bytes/sec under -isolation reservation")
-		traceOut = flag.String("trace-out", "", "single runs: write sampled request traces to this file (.json = Chrome trace events, else CSV)")
-		traceSmp = flag.Int("trace-sample", 64, "trace every Nth request when tracing is on")
-		probeOut = flag.String("probe-out", "", "single runs: write state-probe series to this file (.json or CSV); requires -probe-interval")
-		probeIvl = flag.Duration("probe-interval", 0, "simulated-time cadence of state probes (e.g. 10ms)")
-		verbose  = flag.Bool("v", false, "print per-cell sweep progress (elapsed/ETA, cached counts) to stderr")
-	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fatal(fmt.Errorf("unexpected argument %q (essdbench takes no positional arguments)", flag.Arg(0)))
-	}
-	verboseProgress = *verbose
-	if *traceSmp < 1 {
-		fatal(fmt.Errorf("-trace-sample wants a positive count, got %d", *traceSmp))
-	}
-	if *probeOut != "" && *probeIvl <= 0 {
-		fatal(fmt.Errorf("-probe-out requires a positive -probe-interval, got %s", *probeIvl))
-	}
-	if *traceOut != "" || *probeOut != "" {
-		obsOut.traceOut, obsOut.probeOut = *traceOut, *probeOut
-		obsOut.cfg = &essdsim.ObsConfig{
-			SampleEvery:   *traceSmp,
-			ProbeInterval: essdsim.Duration(probeIvl.Nanoseconds()),
-		}
-	}
-	stopProfiles, err := profiling.Start(*cpuProf, *memProf)
-	if err != nil {
-		fatal(err)
-	}
-	defer stopProfiles()
-	if *mixPct < 0 || *mixPct > 100 {
-		fatal(fmt.Errorf("-rwmixwrite %d out of [0, 100]", *mixPct))
-	}
-	isoPolicy, err := essdsim.ParseIsolationPolicy(*isoName)
-	if err != nil {
-		fatal(err)
-	}
-	devQoS.iso = essdsim.Isolation{Policy: isoPolicy}
-	devQoS.weight = *qosWt
-	devQoS.resv = *qosResv
-	if (devQoS.weight != 0 || devQoS.resv != 0) && !devQoS.iso.Enabled() {
-		fatal(fmt.Errorf("-weight/-reserved-bps need -isolation wfq or reservation; fifo ignores shares"))
-	}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	rates, err := parseRates(*rate)
-	if err != nil {
-		fatal(err)
-	}
-
-	if *traceF != "" { // trace replay
-		switch {
-		case *jobFile != "":
-			fatal(fmt.Errorf("-job cannot be combined with -trace replay mode"))
-		case *size != "":
-			fatal(fmt.Errorf("-size cannot be combined with -trace; the trace sets the load"))
-		case len(rates) > 0:
-			fatal(fmt.Errorf("-rate cannot be combined with -trace; the trace sets the arrival times"))
-		case *sloP99 > 0 || *sloP999 > 0:
-			fatal(fmt.Errorf("-slo-p99 cannot be combined with -trace replay mode"))
-		case *cacheF != "":
-			fatal(fmt.Errorf("-cache is not supported in -trace replay mode"))
-		case obsOut.cfg != nil:
-			fatal(fmt.Errorf("-trace-out/-probe-out instrument single runs, not -trace replay mode"))
-		case strings.ContainsRune(*rw+*bs+*iodepth+*arrival, ','):
-			fatal(fmt.Errorf("-trace replays ignore workload axes; only -device may be a list"))
-		}
-		runTraceReplay(*traceF, *traceFmt, *device, *precond, *seed, *workers)
-		return
-	}
-
-	if *sloP99 > 0 || *sloP999 > 0 { // latency-SLO search
-		switch {
-		case *jobFile != "":
-			fatal(fmt.Errorf("-job cannot be combined with -slo-p99 search mode"))
-		case *size != "":
-			fatal(fmt.Errorf("-size cannot be combined with -slo-p99 search mode"))
-		case len(rates) > 0:
-			fatal(fmt.Errorf("-rate cannot be combined with -slo-p99; the search picks the rates"))
-		case obsOut.cfg != nil:
-			fatal(fmt.Errorf("-trace-out/-probe-out instrument single runs, not -slo-p99 search mode"))
-		case strings.ContainsRune(*device+*rw+*bs+*arrival+*iodepth, ','):
-			fatal(fmt.Errorf("-slo-p99 search mode takes no axis lists: a single device, pattern, size, and arrival"))
-		}
-		runSLOSearch(*device, *rw, *bs, *arrival, *sloRange, *sloTol,
-			*sloP99, *sloP999, *ops, *mixPct, *precond, *seed, *cacheF)
-		return
-	}
-
-	if len(rates) > 0 { // open loop
-		switch {
-		case *jobFile != "":
-			fatal(fmt.Errorf("-job cannot be combined with -rate (open loop)"))
-		case *size != "":
-			fatal(fmt.Errorf("-size cannot be combined with -rate; use -ops"))
-		case strings.ContainsRune(*iodepth, ','):
-			fatal(fmt.Errorf("-iodepth lists are a closed-loop axis; they cannot be combined with -rate"))
-		}
-		if strings.ContainsRune(*device+*rw+*bs+*rate+*arrival, ',') {
-			if obsOut.cfg != nil {
-				fatal(fmt.Errorf("-trace-out/-probe-out instrument single runs, not sweeps"))
-			}
-			runOpenSweep(*device, *rw, *bs, *arrival, rates, *ops, *mixPct, *precond, *seed, *workers, *cacheF)
-			return
-		}
-		if *cacheF != "" {
-			fatal(fmt.Errorf("-cache needs a sweep (comma-list axes) or -slo-p99 search; a single run is never memoized"))
-		}
-		eng := essdsim.NewEngine()
-		dev, err := newDevice(*device, eng, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		cap := instrumentObs(dev, *device)
-		runOpenLoop(dev, *rw, *bs, rates[0], *arrival, *ops, *mixPct, *seed, *precond)
-		dumpObs(cap)
-		return
-	}
-
-	if strings.ContainsRune(*device+*rw+*bs+*iodepth, ',') {
-		switch {
-		case *jobFile != "":
-			fatal(fmt.Errorf("-job cannot be combined with comma-list sweep flags"))
-		case *size != "":
-			fatal(fmt.Errorf("-size cannot be combined with comma-list sweep flags; use -runtime"))
-		case obsOut.cfg != nil:
-			fatal(fmt.Errorf("-trace-out/-probe-out instrument single runs, not sweeps"))
-		}
-		runSweep(*device, *rw, *bs, *iodepth, *runtime, *warmup, *precond, *mixPct, *seed, *workers, *cacheF)
-		return
-	}
-	if *cacheF != "" {
-		fatal(fmt.Errorf("-cache needs a sweep (comma-list axes) or -slo-p99 search; a single run is never memoized"))
-	}
-
-	eng := essdsim.NewEngine()
-	dev, err := newDevice(*device, eng, *seed)
-	if err != nil {
-		fatal(err)
-	}
-	cap := instrumentObs(dev, *device)
-
-	var jobs []fio.Job
-	if *jobFile != "" {
-		f, err := os.Open(*jobFile)
-		if err != nil {
-			fatal(err)
-		}
-		jobs, err = fio.Parse(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		if len(jobs) == 0 {
-			fatal(fmt.Errorf("job file %s defines no jobs", *jobFile))
-		}
-	} else {
-		pattern, err := workload.ParsePattern(*rw)
-		if err != nil {
-			fatal(err)
-		}
-		blockSize, err := fio.ParseSize(*bs)
-		if err != nil {
-			fatal(err)
-		}
-		depth, err := strconv.Atoi(*iodepth)
-		if err != nil {
-			fatal(err)
-		}
-		spec := essdsim.Workload{
-			Pattern:    pattern,
-			BlockSize:  blockSize,
-			QueueDepth: depth,
-			WriteRatio: float64(*mixPct) / 100,
-			Seed:       *seed,
-		}
-		if *size != "" {
-			spec.TotalBytes, err = fio.ParseSize(*size)
-			if err != nil {
-				fatal(err)
-			}
-		} else {
-			spec.Duration, err = fio.ParseDuration(*runtime)
-			if err != nil {
-				fatal(err)
-			}
-			spec.Warmup, err = fio.ParseDuration(*warmup)
-			if err != nil {
-				fatal(err)
-			}
-		}
-		jobs = []fio.Job{{Name: "cmdline", Spec: spec}}
-	}
-
-	mode, err := parsePrecond(*precond)
-	if err != nil {
-		fatal(err)
-	}
-	// Validate every job before running any: workload.Run panics on a bad
-	// spec, and a panic's stack trace is no way to report a flag typo.
-	for _, job := range jobs {
-		if err := job.Spec.Validate(dev); err != nil {
-			fatal(fmt.Errorf("job %s: %w", job.Name, err))
-		}
-	}
-	for _, job := range jobs {
-		switch mode {
-		case essdsim.PrecondAuto:
-			essdsim.Precondition(dev, job.Spec.Pattern.IsWrite())
-		case essdsim.PrecondFull:
-			essdsim.Precondition(dev, false)
-		case essdsim.PrecondWrites:
-			essdsim.Precondition(dev, true)
-		}
-		fmt.Printf("=== job %s ===\n", job.Name)
-		res := essdsim.Run(dev, job.Spec)
-		essdsim.FormatWorkloadResult(os.Stdout, res)
-	}
-	dumpObs(cap)
+// run executes one essdbench invocation and returns its exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	b := &bench{stdout: stdout, stderr: stderr}
+	return cli.Exit("essdbench", stderr, b.main(args))
 }
 
-// parseRates parses a comma list of open-loop rates. An empty list (every
-// value zero) means closed-loop mode; mixing zero and non-zero rates is an
-// error.
-func parseRates(s string) ([]float64, error) {
-	var rates []float64
-	zero := false
-	for _, f := range strings.Split(s, ",") {
-		r, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad -rate %q", f)
-		}
-		if r <= 0 {
-			zero = true
-			continue
-		}
-		rates = append(rates, r)
+// bench is one invocation: its flag values, the axes parsed from them,
+// and its output streams.
+type bench struct {
+	cli.Flags
+	device, rw, bs, iodepth, arrival, rate  string
+	runtime, warmup, size, jobFile, precond string
+	sloRange, traceFile, traceFormat        string
+	mixPct                                  int
+	ops                                     uint64
+	sloP99, sloP999                         time.Duration
+	sloTol, weight, reservedBps             float64
+
+	names    []string
+	patterns []essdsim.Pattern
+	sizes    []int64
+	depths   []int
+	arrivals []essdsim.Arrival
+	rates    []float64
+	prep     essdsim.SweepPrecond
+
+	stdout, stderr io.Writer
+}
+
+var errMemo = errors.New("-cache needs a sweep (comma-list axes) or -slo-p99 search; a single run is never memoized")
+
+// flagSet declares every essdbench flag on a new flag set.
+func (b *bench) flagSet() *flag.FlagSet {
+	fs := cli.NewFlagSet("essdbench", b.stderr)
+	fs.StringVar(&b.device, "device", "essd1", "device profile(s): "+strings.Join(essdsim.ProfileNames(), ", "))
+	fs.StringVar(&b.rw, "rw", "randread", "pattern(s): randread, randwrite, read, write, randrw")
+	fs.StringVar(&b.bs, "bs", "4k", "I/O size(s) (k/m suffixes)")
+	fs.StringVar(&b.iodepth, "iodepth", "1", "queue depth(s)")
+	fs.StringVar(&b.runtime, "runtime", "1s", "measurement duration (simulated)")
+	fs.StringVar(&b.warmup, "warmup", "100ms", "warmup excluded from stats")
+	fs.StringVar(&b.size, "size", "", "stop after this many bytes instead of runtime")
+	fs.IntVar(&b.mixPct, "rwmixwrite", 50, "write percentage for randrw")
+	fs.StringVar(&b.jobFile, "job", "", "fio job file (overrides workload flags)")
+	fs.StringVar(&b.precond, "precondition", "auto", "auto, full, half, none")
+	fs.StringVar(&b.rate, "rate", "0", "open-loop arrival rate(s) (req/s); 0 = closed loop at -iodepth")
+	fs.StringVar(&b.arrival, "arrival", "uniform", "open-loop arrival shape(s): uniform, poisson, bursty")
+	fs.Uint64Var(&b.ops, "ops", 10000, "open-loop request count per cell (with -rate)")
+	fs.DurationVar(&b.sloP99, "slo-p99", 0, "latency-SLO search mode: find the highest rate with p99 under this")
+	fs.DurationVar(&b.sloP999, "slo-p999", 0, "additional p99.9 target for the SLO search")
+	fs.StringVar(&b.sloRange, "slo-range", "100,4000", "SLO search rate range min,max (req/s)")
+	fs.Float64Var(&b.sloTol, "slo-tol", 0, "SLO search convergence width in req/s (default range/64)")
+	fs.StringVar(&b.traceFile, "trace", "", "trace-replay mode: replay this trace file on the device(s)")
+	fs.StringVar(&b.traceFormat, "trace-format", "text", "trace file format: text (native) or msr (MSR-Cambridge CSV)")
+	fs.Float64Var(&b.weight, "weight", 0, "volume scheduling weight under -isolation wfq/reservation (0 = default 1)")
+	fs.Float64Var(&b.reservedBps, "reserved-bps", 0, "volume reserved backend bytes/sec under -isolation reservation")
+	b.Declare(fs, 1, "single runs")
+	return fs
+}
+
+func (b *bench) main(args []string) error {
+	if err := b.Parse(b.flagSet(), args); err != nil {
+		return err
 	}
-	if zero && len(rates) > 0 {
-		return nil, fmt.Errorf("-rate mixes zero (closed loop) and open-loop rates")
+	if b.mixPct < 0 || b.mixPct > 100 {
+		return fmt.Errorf("-rwmixwrite %d out of [0, 100]", b.mixPct)
+	}
+	if (b.weight != 0 || b.reservedBps != 0) && !b.Isolation.Enabled() {
+		return errors.New("-weight/-reserved-bps need -isolation wfq or reservation; fifo ignores shares")
+	}
+	if err := b.parseAxes(); err != nil {
+		return err
+	}
+	stop, err := b.StartProfiles(b.stderr)
+	if err != nil {
+		return err
+	}
+	defer stop()
+	switch {
+	case b.traceFile != "":
+		return b.replay()
+	case b.sloP99 > 0 || b.sloP999 > 0:
+		return b.searchSLO()
+	case len(b.rates) > 0:
+		return b.openLoop()
+	case strings.ContainsRune(b.device+b.rw+b.bs+b.iodepth, ','):
+		return b.closedSweep()
+	}
+	return b.single()
+}
+
+// parseAxes parses the comma-list flags and -precondition.
+func (b *bench) parseAxes() error {
+	var err error
+	if b.names, err = cli.List(b.device); err != nil {
+		return fmt.Errorf("-device: %w", err)
+	}
+	if b.patterns, err = cli.ParseList(b.rw, workload.ParsePattern); err != nil {
+		return fmt.Errorf("-rw: %w", err)
+	}
+	if b.sizes, err = cli.ParseList(b.bs, fio.ParseSize); err != nil {
+		return fmt.Errorf("-bs: %w", err)
+	}
+	if b.depths, err = cli.ParseList(b.iodepth, strconv.Atoi); err != nil {
+		return fmt.Errorf("-iodepth: %w", err)
+	}
+	if b.arrivals, err = cli.ParseList(b.arrival, workload.ParseArrival); err != nil {
+		return fmt.Errorf("-arrival: %w", err)
+	}
+	if b.rates, err = parseRates(b.rate); err != nil {
+		return fmt.Errorf("-rate: %w", err)
+	}
+	if b.prep, err = parsePrecond(b.precond); err != nil {
+		return fmt.Errorf("-precondition: %w", err)
+	}
+	return nil
+}
+
+// parseRates parses a comma list of open-loop rates. An empty result
+// (every value zero) means closed-loop mode; mixing zero and non-zero
+// rates is an error.
+func parseRates(s string) ([]float64, error) {
+	all, err := cli.Floats(s)
+	if err != nil {
+		return nil, err
+	}
+	var rates []float64
+	for _, r := range all {
+		if r > 0 {
+			rates = append(rates, r)
+		}
+	}
+	if len(rates) > 0 && len(rates) < len(all) {
+		return nil, errors.New("mixes zero (closed loop) and open-loop rates")
 	}
 	return rates, nil
 }
 
-// runTraceReplay replays one trace file on every listed device profile as
-// a parallel trace-replay sweep and prints one summary row per device.
-// MSR-format traces are fitted onto each device's scaled geometry.
-func runTraceReplay(file, format, devices, precond string, seed uint64, workers int) {
-	f, err := os.Open(file)
-	if err != nil {
-		fatal(err)
-	}
-	recs, err := essdsim.ReadTraceFormat(f, format)
-	f.Close()
-	if err != nil {
-		fatal(err)
-	}
-	if len(recs) == 0 {
-		fatal(fmt.Errorf("trace %s has no records", file))
-	}
-	sw := essdsim.Sweep{
-		Kind:     essdsim.SweepTraceReplay,
-		Seed:     seed,
-		Label:    "essdbench-trace",
-		Variant:  qosVariant(),
-		Trace:    recs,
-		FitTrace: format == "msr",
-	}
-	var names []string
-	for _, name := range strings.Split(devices, ",") {
-		names = append(names, strings.TrimSpace(name))
-	}
-	sw.Devices = profileDevices(names...)
-	if sw.Precondition, err = parsePrecond(precond); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("trace replay: %d records on %d devices\n", len(recs), len(sw.Devices))
-	fmt.Printf("%-8s %10s %12s %11s %9s %8s %11s %11s\n",
-		"device", "ops", "bytes", "elapsed", "stretch", "peak-q", "p50", "p99.9")
-	results, err := essdsim.RunSweep(context.Background(), sw, workers)
-	if err != nil {
-		fatal(err)
-	}
-	for _, r := range results {
-		s := r.Replay.Lat.Summarize()
-		stretch := "n/a"
-		if r.Replay.Nominal > 0 {
-			stretch = fmt.Sprintf("%.2fx", r.Replay.Stretch)
-		}
-		fmt.Printf("%-8s %10d %12d %11v %9s %8d %11v %11v\n",
-			r.DeviceName, r.Replay.Ops, r.Replay.Bytes, r.Replay.Elapsed,
-			stretch, r.Replay.MaxOutstanding, s.P50, s.P999)
-	}
-}
-
-// runSLOSearch binary-searches offered rate for the highest rate whose
-// steady-state tail latency meets the target, on one device profile.
-func runSLOSearch(device, rws, sizes, arrivals, rateRange string, tol float64,
-	p99, p999 time.Duration, ops uint64, mixPct int, precond string, seed uint64, cacheFile string) {
-	pattern, err := workload.ParsePattern(rws)
-	if err != nil {
-		fatal(err)
-	}
-	blockSize, err := fio.ParseSize(sizes)
-	if err != nil {
-		fatal(err)
-	}
-	arr, err := workload.ParseArrival(arrivals)
-	if err != nil {
-		fatal(err)
-	}
-	mode, err := parsePrecond(precond)
-	if err != nil {
-		fatal(err)
-	}
-	parts := strings.Split(rateRange, ",")
-	if len(parts) != 2 {
-		fatal(fmt.Errorf("-slo-range wants min,max (req/s), got %q", rateRange))
-	}
-	minRate, err1 := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
-	maxRate, err2 := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-	if err1 != nil || err2 != nil || minRate <= 0 || maxRate <= minRate {
-		fatal(fmt.Errorf("bad -slo-range %q (want 0 < min < max)", rateRange))
-	}
-
-	var cache *essdsim.SweepCache
-	if cacheFile != "" {
-		cache = essdsim.NewSweepCache(0)
-		if err := cache.LoadFile(cacheFile); err != nil {
-			fatal(err)
-		}
-	}
-	search := essdsim.SLOSearch{
-		Device:        profileDevices(device)[0],
-		Variant:       qosVariant(),
-		Pattern:       pattern,
-		BlockSize:     blockSize,
-		WriteRatioPct: mixPct,
-		Arrival:       arr,
-		MinRate:       minRate,
-		MaxRate:       maxRate,
-		Tolerance:     tol,
-		Target: essdsim.SLOTarget{
-			P99:  essdsim.Duration(p99.Nanoseconds()),
-			P999: essdsim.Duration(p999.Nanoseconds()),
-		},
-		MaxOps:       ops * 6, // -ops bounds one probe's nominal length
-		Precondition: mode,
-		Cache:        cache,
-		Seed:         seed,
-	}
-	if search.MaxOps == 0 {
-		search.MaxOps = 60000
-	}
-	rep, err := essdsim.SearchSLO(context.Background(), search)
-	if err != nil {
-		fatal(err)
-	}
-	essdsim.FormatSLOReport(os.Stdout, rep)
-	if cache != nil {
-		if err := cache.SaveFile(cacheFile); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-// runOpenLoop issues requests on an arrival schedule instead of a closed
-// loop, exposing the queueing that Implication #4 is about.
-func runOpenLoop(dev essdsim.Device, rw, bs string, rate float64,
-	arrival string, ops uint64, mixPct int, seed uint64, precond string) {
-	pattern, err := workload.ParsePattern(rw)
-	if err != nil {
-		fatal(err)
-	}
-	blockSize, err := fio.ParseSize(bs)
-	if err != nil {
-		fatal(err)
-	}
-	arr, err := workload.ParseArrival(arrival)
-	if err != nil {
-		fatal(err)
-	}
-	mode, err := parsePrecond(precond)
-	if err != nil {
-		fatal(err)
-	}
-	switch mode {
-	case essdsim.PrecondAuto:
-		essdsim.Precondition(dev, pattern.IsWrite())
-	case essdsim.PrecondFull:
-		essdsim.Precondition(dev, false)
-	case essdsim.PrecondWrites:
-		essdsim.Precondition(dev, true)
-	}
-	spec := workload.OpenSpec{
-		Pattern:    pattern,
-		BlockSize:  blockSize,
-		WriteRatio: float64(mixPct) / 100,
-		RatePerSec: rate,
-		Arrival:    arr,
-		Count:      ops,
-		Seed:       seed,
-	}
-	if err := spec.Validate(dev); err != nil {
-		fatal(err)
-	}
-	res := workload.RunOpen(dev, spec)
-	s := res.Lat.Summarize()
-	fmt.Printf("%s: open-loop %s bs=%s rate=%.0f/s arrivals=%s\n",
-		res.Device, pattern, bs, rate, arr)
-	fmt.Printf("  ops=%d elapsed=%v peak-outstanding=%d\n",
-		res.Ops, res.Elapsed, res.MaxOutstanding)
-	fmt.Printf("  lat avg=%v p50=%v p99=%v p99.9=%v max=%v\n",
-		s.Mean, s.P50, s.P99, s.P999, s.Max)
-}
-
-// runCachedSweep executes a sweep with the optional persistent result
-// cache attached: cells already in the cache are skipped, every completed
-// sweep is saved back, and the returned report function prints the
-// "N of M cells skipped" line (call it after the result rows). Without a
-// cache path the sweep just runs and the report function is a no-op.
-func runCachedSweep(sw essdsim.Sweep, workers int, cachePath string) ([]essdsim.SweepCellResult, func()) {
-	var cache *essdsim.SweepCache
-	if cachePath != "" {
-		cache = essdsim.NewSweepCache(0)
-		if err := cache.LoadFile(cachePath); err != nil {
-			fatal(err)
-		}
-		sw.Cache = cache
-	}
-	var last essdsim.SweepProgress
-	runner := essdsim.SweepRunner{Workers: workers, OnProgress: func(p essdsim.SweepProgress) {
-		last = p
-		if verboseProgress {
-			fmt.Fprintf(os.Stderr, "sweep: %s\n", p)
-		}
-	}}
-	results, err := runner.Run(context.Background(), sw)
-	if err != nil {
-		fatal(err)
-	}
-	return results, func() {
-		if cache == nil {
-			return
-		}
-		fmt.Printf("%d of %d cells skipped (cache-warm)\n", last.Cached, last.Total)
-		if err := cache.SaveFile(cachePath); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-// runOpenSweep executes the cross product of comma-separated device,
-// pattern, size, arrival, and rate lists as a parallel open-loop grid and
-// prints one summary row per cell.
-func runOpenSweep(devices, rws, sizes, arrivals string, rates []float64,
-	ops uint64, mixPct int, precond string, seed uint64, workers int, cachePath string) {
-	sw := essdsim.Sweep{Kind: essdsim.SweepOpen, Seed: seed, Label: "essdbench-open", Variant: qosVariant()}
-	var names []string
-	for _, name := range strings.Split(devices, ",") {
-		names = append(names, strings.TrimSpace(name))
-	}
-	sw.Devices = profileDevices(names...)
-	mixed := false
-	for _, s := range strings.Split(rws, ",") {
-		p, err := workload.ParsePattern(strings.TrimSpace(s))
-		if err != nil {
-			fatal(err)
-		}
-		mixed = mixed || p == essdsim.Mixed
-		sw.Patterns = append(sw.Patterns, p)
-	}
-	for _, s := range strings.Split(sizes, ",") {
-		bs, err := fio.ParseSize(strings.TrimSpace(s))
-		if err != nil {
-			fatal(err)
-		}
-		sw.BlockSizes = append(sw.BlockSizes, bs)
-	}
-	for _, s := range strings.Split(arrivals, ",") {
-		arr, err := workload.ParseArrival(strings.TrimSpace(s))
-		if err != nil {
-			fatal(err)
-		}
-		sw.Arrivals = append(sw.Arrivals, arr)
-	}
-	sw.RatesPerSec = rates
-	sw.OpenOps = ops
-	if mixed {
-		sw.WriteRatiosPct = []int{mixPct}
-	}
-	var err error
-	if sw.Precondition, err = parsePrecond(precond); err != nil {
-		fatal(err)
-	}
-
-	fmt.Printf("open-loop sweep: %d cells on %d devices\n",
-		len(sw.Cells()), len(sw.Devices))
-	fmt.Printf("%-8s %-10s %-7s %-8s %9s %11s %11s %11s %8s\n",
-		"device", "rw", "bs", "arrival", "rate/s", "MB/s", "p50", "p99.9", "peak-q")
-	results, reportCache := runCachedSweep(sw, workers, cachePath)
-	for _, r := range results {
-		s := r.Open.Lat.Summarize()
-		fmt.Printf("%-8s %-10s %-7s %-8s %9.0f %11.1f %11v %11v %8d\n",
-			r.DeviceName, r.Pattern, sizeLabel(r.BlockSize), r.Arrival,
-			r.RatePerSec, r.Open.Throughput()/1e6, s.P50, s.P999,
-			r.Open.MaxOutstanding)
-	}
-	reportCache()
-}
-
-// runSweep executes the cross product of comma-separated device, pattern,
-// size, and depth lists as a parallel experiment grid and prints one
-// summary row per cell.
-func runSweep(devices, rws, sizes, depths, runtime, warmup, precond string, mixPct int, seed uint64, workers int, cachePath string) {
-	sw := essdsim.Sweep{Seed: seed, Label: "essdbench", Variant: qosVariant()}
-	var names []string
-	for _, name := range strings.Split(devices, ",") {
-		names = append(names, strings.TrimSpace(name))
-	}
-	sw.Devices = profileDevices(names...)
-	mixed := false
-	for _, s := range strings.Split(rws, ",") {
-		p, err := workload.ParsePattern(strings.TrimSpace(s))
-		if err != nil {
-			fatal(err)
-		}
-		mixed = mixed || p == essdsim.Mixed
-		sw.Patterns = append(sw.Patterns, p)
-	}
-	for _, s := range strings.Split(sizes, ",") {
-		bs, err := fio.ParseSize(strings.TrimSpace(s))
-		if err != nil {
-			fatal(err)
-		}
-		sw.BlockSizes = append(sw.BlockSizes, bs)
-	}
-	for _, s := range strings.Split(depths, ",") {
-		qd, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil {
-			fatal(err)
-		}
-		sw.QueueDepths = append(sw.QueueDepths, qd)
-	}
-	if mixed {
-		sw.WriteRatiosPct = []int{mixPct}
-	}
-	var err error
-	if sw.CellDuration, err = fio.ParseDuration(runtime); err != nil {
-		fatal(err)
-	}
-	if sw.CellDuration <= 0 {
-		fatal(fmt.Errorf("sweep mode needs -runtime > 0"))
-	}
-	if sw.Warmup, err = fio.ParseDuration(warmup); err != nil {
-		fatal(err)
-	}
-	if sw.Warmup == 0 {
-		sw.Warmup = -1 // explicit -warmup 0: really no warmup, not the default
-	}
-	if sw.Precondition, err = parsePrecond(precond); err != nil {
-		fatal(err)
-	}
-
-	total := len(sw.Devices) * len(sw.Patterns) * len(sw.BlockSizes) * len(sw.QueueDepths)
-	fmt.Printf("sweep: %d cells on %d devices\n", total, len(sw.Devices))
-	fmt.Printf("%-8s %-10s %-7s %-4s %11s %11s %11s %11s\n",
-		"device", "rw", "bs", "QD", "MB/s", "IOPS", "avg", "p99.9")
-	results, reportCache := runCachedSweep(sw, workers, cachePath)
-	for _, r := range results {
-		s := r.Res.Lat.Summarize()
-		fmt.Printf("%-8s %-10s %-7s %-4d %11.1f %11.0f %11v %11v\n",
-			r.DeviceName, r.Pattern, sizeLabel(r.BlockSize), r.QueueDepth,
-			r.Res.Throughput()/1e6, r.Res.IOPS(), s.Mean, s.P999)
-	}
-	reportCache()
-}
-
-// parsePrecond maps the -precondition flag to a sweep mode; the single-run
-// path interprets the same modes through essdsim.Precondition calls.
+// parsePrecond maps the -precondition flag to a sweep mode; single runs
+// apply the same modes through prepare.
 func parsePrecond(s string) (essdsim.SweepPrecond, error) {
 	switch s {
 	case "auto":
@@ -676,8 +211,369 @@ func parsePrecond(s string) (essdsim.SweepPrecond, error) {
 		return essdsim.PrecondWrites, nil
 	case "none":
 		return essdsim.PrecondNone, nil
-	default:
-		return 0, fmt.Errorf("unknown -precondition %q", s)
+	}
+	return 0, fmt.Errorf("unknown mode %q", s)
+}
+
+// window parses -runtime and -warmup, which must leave a measurement
+// window: a warmup as long as the run would report no operations.
+func (b *bench) window() (run, warm essdsim.Duration, err error) {
+	if run, err = fio.ParseDuration(b.runtime); err != nil {
+		return 0, 0, fmt.Errorf("-runtime: %w", err)
+	}
+	if warm, err = fio.ParseDuration(b.warmup); err != nil {
+		return 0, 0, fmt.Errorf("-warmup: %w", err)
+	}
+	if run <= 0 {
+		return 0, 0, fmt.Errorf("-runtime must be positive, got %s", b.runtime)
+	}
+	if warm < 0 || warm >= run {
+		return 0, 0, fmt.Errorf("-warmup %s leaves no measurement window in -runtime %s (want 0 <= warmup < runtime)", b.warmup, b.runtime)
+	}
+	return run, warm, nil
+}
+
+// replay runs trace-replay mode: one replay of the -trace file per listed
+// device, in parallel, with one summary row per device. MSR-format traces
+// are fitted onto each device's scaled geometry.
+func (b *bench) replay() error {
+	switch {
+	case b.jobFile != "":
+		return errors.New("-job cannot be combined with -trace replay mode")
+	case b.size != "":
+		return errors.New("-size cannot be combined with -trace; the trace sets the load")
+	case len(b.rates) > 0:
+		return errors.New("-rate cannot be combined with -trace; the trace sets the arrival times")
+	case b.sloP99 > 0 || b.sloP999 > 0:
+		return errors.New("-slo-p99 cannot be combined with -trace replay mode")
+	case b.Cache != "":
+		return errors.New("-cache is not supported in -trace replay mode")
+	case b.Observing():
+		return errors.New("-trace-out/-probe-out instrument single runs, not -trace replay mode")
+	case strings.ContainsRune(b.rw+b.bs+b.iodepth+b.arrival, ','):
+		return errors.New("-trace replays ignore workload axes; only -device may be a list")
+	}
+	recs, err := cli.ReadTrace(b.traceFile, b.traceFormat)
+	if err != nil {
+		return err
+	}
+	sw := b.sweep(essdsim.SweepTraceReplay, "essdbench-trace")
+	sw.Trace, sw.FitTrace = recs, b.traceFormat == "msr"
+	fmt.Fprintf(b.stdout, "trace replay: %d records on %d devices\n", len(recs), len(sw.Devices))
+	fmt.Fprintf(b.stdout, "%-8s %10s %12s %11s %9s %8s %11s %11s\n",
+		"device", "ops", "bytes", "elapsed", "stretch", "peak-q", "p50", "p99.9")
+	return b.runSweep(sw, func(r essdsim.SweepCellResult) {
+		s := r.Replay.Lat.Summarize()
+		stretch := "n/a"
+		if r.Replay.Nominal > 0 {
+			stretch = fmt.Sprintf("%.2fx", r.Replay.Stretch)
+		}
+		fmt.Fprintf(b.stdout, "%-8s %10d %12d %11v %9s %8d %11v %11v\n",
+			r.DeviceName, r.Replay.Ops, r.Replay.Bytes, r.Replay.Elapsed,
+			stretch, r.Replay.MaxOutstanding, s.P50, s.P999)
+	})
+}
+
+// searchSLO binary-searches offered rate for the highest rate whose
+// steady-state tail latency meets the target, on one device profile.
+func (b *bench) searchSLO() error {
+	switch {
+	case b.jobFile != "":
+		return errors.New("-job cannot be combined with -slo-p99 search mode")
+	case b.size != "":
+		return errors.New("-size cannot be combined with -slo-p99 search mode")
+	case len(b.rates) > 0:
+		return errors.New("-rate cannot be combined with -slo-p99; the search picks the rates")
+	case b.Observing():
+		return errors.New("-trace-out/-probe-out instrument single runs, not -slo-p99 search mode")
+	case strings.ContainsRune(b.device+b.rw+b.bs+b.arrival+b.iodepth, ','):
+		return errors.New("-slo-p99 search mode takes no axis lists: a single device, pattern, size, and arrival")
+	case b.ops == 0:
+		return errors.New("-ops must be positive: it bounds each probe's length")
+	}
+	bounds, err := cli.Floats(b.sloRange)
+	if err != nil || len(bounds) != 2 || bounds[0] <= 0 || bounds[1] <= bounds[0] {
+		return fmt.Errorf("bad -slo-range %q (want min,max with 0 < min < max)", b.sloRange)
+	}
+	cache, err := b.LoadCache()
+	if err != nil {
+		return err
+	}
+	rep, err := essdsim.SearchSLO(context.Background(), essdsim.SLOSearch{
+		Device:        b.devices()[0],
+		Variant:       b.variant(),
+		Pattern:       b.patterns[0],
+		BlockSize:     b.sizes[0],
+		WriteRatioPct: b.mixPct,
+		Arrival:       b.arrivals[0],
+		MinRate:       bounds[0],
+		MaxRate:       bounds[1],
+		Tolerance:     b.sloTol,
+		Target: essdsim.SLOTarget{
+			P99:  essdsim.Duration(b.sloP99.Nanoseconds()),
+			P999: essdsim.Duration(b.sloP999.Nanoseconds()),
+		},
+		MaxOps:       b.ops * 6, // -ops bounds one probe's nominal length
+		Precondition: b.prep,
+		Cache:        cache,
+		Seed:         b.Seed,
+	})
+	if err != nil {
+		return err
+	}
+	essdsim.FormatSLOReport(b.stdout, rep)
+	return b.SaveCache(cache)
+}
+
+// openLoop issues requests on an arrival schedule instead of a closed
+// loop, exposing the queueing that Implication #4 is about: one run, or a
+// parallel sweep over the comma-listed axes with one row per cell.
+func (b *bench) openLoop() error {
+	switch {
+	case b.jobFile != "":
+		return errors.New("-job cannot be combined with -rate (open loop)")
+	case b.size != "":
+		return errors.New("-size cannot be combined with -rate; use -ops")
+	case strings.ContainsRune(b.iodepth, ','):
+		return errors.New("-iodepth lists are a closed-loop axis; they cannot be combined with -rate")
+	case b.ops == 0:
+		return errors.New("-ops must be positive: it is each open-loop run's request count")
+	}
+	if !strings.ContainsRune(b.device+b.rw+b.bs+b.rate+b.arrival, ',') {
+		return b.openOne()
+	}
+	if b.Observing() {
+		return errors.New("-trace-out/-probe-out instrument single runs, not sweeps")
+	}
+	sw := b.sweep(essdsim.SweepOpen, "essdbench-open")
+	sw.Patterns, sw.BlockSizes, sw.WriteRatiosPct = b.patterns, b.sizes, b.writeRatios()
+	sw.Arrivals, sw.RatesPerSec, sw.OpenOps = b.arrivals, b.rates, b.ops
+	fmt.Fprintf(b.stdout, "open-loop sweep: %d cells on %d devices\n", len(sw.Cells()), len(sw.Devices))
+	fmt.Fprintf(b.stdout, "%-8s %-10s %-7s %-8s %9s %11s %11s %11s %8s\n",
+		"device", "rw", "bs", "arrival", "rate/s", "MB/s", "p50", "p99.9", "peak-q")
+	return b.runSweep(sw, func(r essdsim.SweepCellResult) {
+		s := r.Open.Lat.Summarize()
+		fmt.Fprintf(b.stdout, "%-8s %-10s %-7s %-8s %9.0f %11.1f %11v %11v %8d\n",
+			r.DeviceName, r.Pattern, sizeLabel(r.BlockSize), r.Arrival,
+			r.RatePerSec, r.Open.Throughput()/1e6, s.P50, s.P999,
+			r.Open.MaxOutstanding)
+	})
+}
+
+// openOne is a single open-loop run.
+func (b *bench) openOne() error {
+	if b.Cache != "" {
+		return errMemo
+	}
+	dev, caps, err := b.newDevice()
+	if err != nil {
+		return err
+	}
+	spec := essdsim.OpenWorkload{
+		Pattern:    b.patterns[0],
+		BlockSize:  b.sizes[0],
+		WriteRatio: float64(b.mixPct) / 100,
+		RatePerSec: b.rates[0],
+		Arrival:    b.arrivals[0],
+		Count:      b.ops,
+		Seed:       b.Seed,
+	}
+	if err := spec.Validate(dev); err != nil {
+		return err
+	}
+	b.prepare(dev, spec.Pattern)
+	res := essdsim.RunOpen(dev, spec)
+	s := res.Lat.Summarize()
+	fmt.Fprintf(b.stdout, "%s: open-loop %s bs=%s rate=%.0f/s arrivals=%s\n",
+		res.Device, spec.Pattern, b.bs, spec.RatePerSec, spec.Arrival)
+	fmt.Fprintf(b.stdout, "  ops=%d elapsed=%v peak-outstanding=%d\n",
+		res.Ops, res.Elapsed, res.MaxOutstanding)
+	fmt.Fprintf(b.stdout, "  lat avg=%v p50=%v p99=%v p99.9=%v max=%v\n",
+		s.Mean, s.P50, s.P99, s.P999, s.Max)
+	return b.WriteCaptures(caps)
+}
+
+// closedSweep runs the cross product of the device, pattern, size, and
+// depth lists as a parallel experiment grid, one row per cell.
+func (b *bench) closedSweep() error {
+	switch {
+	case b.jobFile != "":
+		return errors.New("-job cannot be combined with comma-list sweep flags")
+	case b.size != "":
+		return errors.New("-size cannot be combined with comma-list sweep flags; use -runtime")
+	case b.Observing():
+		return errors.New("-trace-out/-probe-out instrument single runs, not sweeps")
+	}
+	sw := b.sweep(essdsim.SweepClosed, "essdbench")
+	sw.Patterns, sw.BlockSizes, sw.WriteRatiosPct = b.patterns, b.sizes, b.writeRatios()
+	sw.QueueDepths = b.depths
+	var err error
+	if sw.CellDuration, sw.Warmup, err = b.window(); err != nil {
+		return err
+	}
+	if sw.Warmup == 0 {
+		sw.Warmup = -1 // explicit -warmup 0: really no warmup, not the default
+	}
+	fmt.Fprintf(b.stdout, "sweep: %d cells on %d devices\n",
+		len(sw.Devices)*len(sw.Patterns)*len(sw.BlockSizes)*len(sw.QueueDepths), len(sw.Devices))
+	fmt.Fprintf(b.stdout, "%-8s %-10s %-7s %-4s %11s %11s %11s %11s\n",
+		"device", "rw", "bs", "QD", "MB/s", "IOPS", "avg", "p99.9")
+	return b.runSweep(sw, func(r essdsim.SweepCellResult) {
+		s := r.Res.Lat.Summarize()
+		fmt.Fprintf(b.stdout, "%-8s %-10s %-7s %-4d %11.1f %11.0f %11v %11v\n",
+			r.DeviceName, r.Pattern, sizeLabel(r.BlockSize), r.QueueDepth,
+			r.Res.Throughput()/1e6, r.Res.IOPS(), s.Mean, s.P999)
+	})
+}
+
+// single runs one closed-loop job from the flags, or every job of -job,
+// on one device.
+func (b *bench) single() error {
+	if b.Cache != "" {
+		return errMemo
+	}
+	var jobs []fio.Job
+	if b.jobFile != "" {
+		var err error
+		if jobs, err = readJobs(b.jobFile); err != nil {
+			return err
+		}
+	} else {
+		spec := essdsim.Workload{
+			Pattern:    b.patterns[0],
+			BlockSize:  b.sizes[0],
+			QueueDepth: b.depths[0],
+			WriteRatio: float64(b.mixPct) / 100,
+			Seed:       b.Seed,
+		}
+		var err error
+		if b.size != "" {
+			spec.TotalBytes, err = fio.ParseSize(b.size)
+		} else {
+			spec.Duration, spec.Warmup, err = b.window()
+		}
+		if err != nil {
+			return err
+		}
+		jobs = []fio.Job{{Name: "cmdline", Spec: spec}}
+	}
+	dev, caps, err := b.newDevice()
+	if err != nil {
+		return err
+	}
+	// Validate every job before running any: workload.Run panics on a bad
+	// spec, and a panic's stack trace is no way to report a flag typo.
+	for _, job := range jobs {
+		if err := job.Spec.Validate(dev); err != nil {
+			return fmt.Errorf("job %s: %w", job.Name, err)
+		}
+	}
+	for _, job := range jobs {
+		b.prepare(dev, job.Spec.Pattern)
+		fmt.Fprintf(b.stdout, "=== job %s ===\n", job.Name)
+		essdsim.FormatWorkloadResult(b.stdout, essdsim.Run(dev, job.Spec))
+	}
+	return b.WriteCaptures(caps)
+}
+
+// readJobs parses a fio job file, which must define at least one job.
+func readJobs(path string) ([]fio.Job, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	jobs, err := fio.Parse(f)
+	if err == nil && len(jobs) == 0 {
+		err = fmt.Errorf("job file %s defines no jobs", path)
+	}
+	return jobs, err
+}
+
+// sweep starts a sweep of the given kind over the -device list, with the
+// seed, isolation variant, and preconditioning the flags set.
+func (b *bench) sweep(kind essdsim.SweepKind, label string) essdsim.Sweep {
+	return essdsim.Sweep{
+		Kind:         kind,
+		Seed:         b.Seed,
+		Label:        label,
+		Variant:      b.variant(),
+		Devices:      b.devices(),
+		Precondition: b.prep,
+	}
+}
+
+// runSweep runs sw with the -cache file attached, prints one row per cell
+// result, then the cache-warm line, and saves the cache.
+func (b *bench) runSweep(sw essdsim.Sweep, row func(essdsim.SweepCellResult)) error {
+	cache, err := b.LoadCache()
+	if err != nil {
+		return err
+	}
+	sw.Cache = cache
+	runner := essdsim.SweepRunner{Workers: b.Workers, OnProgress: b.Progress(b.stderr, "sweep")}
+	results, err := runner.Run(context.Background(), sw)
+	if err != nil {
+		return err
+	}
+	cached := 0
+	for _, r := range results {
+		row(r)
+		if r.Cached {
+			cached++
+		}
+	}
+	b.Skipped(b.stdout, "", cached, len(results))
+	return b.SaveCache(cache)
+}
+
+// writeRatios is the write-ratio axis: the -rwmixwrite percentage when a
+// listed pattern is randrw, none otherwise.
+func (b *bench) writeRatios() []int {
+	for _, p := range b.patterns {
+		if p == essdsim.Mixed {
+			return []int{b.mixPct}
+		}
+	}
+	return nil
+}
+
+// variant keys cache entries for isolated runs: same seeds and arrivals
+// as fifo (deltas are pure scheduling effects), distinct entries.
+func (b *bench) variant() string {
+	if !b.Isolation.Enabled() {
+		return ""
+	}
+	return fmt.Sprintf("iso:%s|w%g|r%g", b.Isolation.Signature(), b.weight, b.reservedBps)
+}
+
+// devices is the sweep device axis: the -device profiles with the
+// isolation policy and volume QoS share applied.
+func (b *bench) devices() []essdsim.NamedFactory {
+	return essdsim.ProfileDevicesQoS(b.Isolation, b.weight, b.reservedBps, b.names...)
+}
+
+// newDevice builds the single-run device and, when -trace-out or
+// -probe-out is set, attaches an observability capture to it; non-elastic
+// devices have no backend to observe and are an error.
+func (b *bench) newDevice() (essdsim.Device, []*essdsim.ObsCapture, error) {
+	dev, err := essdsim.NewDeviceQoS(b.names[0], b.Isolation, b.weight, b.reservedBps, essdsim.NewEngine(), b.Seed)
+	if err != nil || !b.Observing() {
+		return dev, nil, err
+	}
+	capture, err := essdsim.InstrumentDevice(dev, b.device, b.ObsConfig())
+	return dev, []*essdsim.ObsCapture{capture}, err
+}
+
+// prepare preconditions a single-run device the way a sweep cell is.
+func (b *bench) prepare(dev essdsim.Device, p essdsim.Pattern) {
+	switch b.prep {
+	case essdsim.PrecondAuto:
+		essdsim.Precondition(dev, p.IsWrite())
+	case essdsim.PrecondFull:
+		essdsim.Precondition(dev, false)
+	case essdsim.PrecondWrites:
+		essdsim.Precondition(dev, true)
 	}
 }
 
@@ -690,103 +586,4 @@ func sizeLabel(bs int64) string {
 	default:
 		return fmt.Sprintf("%d", bs)
 	}
-}
-
-// devQoS carries the backend isolation policy and per-volume QoS share
-// from the flags to every device construction site; the zero value is the
-// original FIFO stack.
-var devQoS struct {
-	iso    essdsim.Isolation
-	weight float64
-	resv   float64
-}
-
-func qosEnabled() bool {
-	return devQoS.iso.Enabled() || devQoS.weight != 0 || devQoS.resv != 0
-}
-
-// qosVariant keys cache entries for isolated runs: same seeds and
-// arrivals as fifo (deltas are pure scheduling effects), distinct entries.
-func qosVariant() string {
-	if !qosEnabled() {
-		return ""
-	}
-	return fmt.Sprintf("iso:%s|w%g|r%g", devQoS.iso.Signature(), devQoS.weight, devQoS.resv)
-}
-
-func newDevice(name string, eng *essdsim.Engine, seed uint64) (essdsim.Device, error) {
-	return essdsim.NewDeviceQoS(name, devQoS.iso, devQoS.weight, devQoS.resv, eng, seed)
-}
-
-func profileDevices(names ...string) []essdsim.NamedFactory {
-	if !qosEnabled() {
-		return essdsim.ProfileDevices(names...)
-	}
-	return essdsim.ProfileDevicesQoS(devQoS.iso, devQoS.weight, devQoS.resv, names...)
-}
-
-// obsOut carries the observability flags to the single-run paths; the
-// zero value (no -trace-out/-probe-out) is fully off.
-var obsOut struct {
-	cfg      *essdsim.ObsConfig
-	traceOut string
-	probeOut string
-}
-
-// verboseProgress mirrors -v: per-cell sweep progress lines on stderr.
-var verboseProgress bool
-
-// instrumentObs attaches an observability capture to a single-run device
-// when the obs flags are set; nil (and no-op) otherwise. Non-elastic
-// devices are a fatal flag error — they have no backend to observe.
-func instrumentObs(dev essdsim.Device, label string) *essdsim.ObsCapture {
-	if obsOut.cfg == nil {
-		return nil
-	}
-	cap, err := essdsim.InstrumentDevice(dev, label, obsOut.cfg)
-	if err != nil {
-		fatal(err)
-	}
-	return cap
-}
-
-// dumpObs writes the capture's spans and probe series to the -trace-out
-// and -probe-out paths (.json selects the JSON writers, anything else CSV).
-func dumpObs(cap *essdsim.ObsCapture) {
-	if cap == nil {
-		return
-	}
-	caps := []*essdsim.ObsCapture{cap}
-	if obsOut.traceOut != "" {
-		if err := writeObsFile(obsOut.traceOut, caps, essdsim.WriteTraceEvents, essdsim.WriteTraceCSV); err != nil {
-			fatal(err)
-		}
-	}
-	if obsOut.probeOut != "" {
-		if err := writeObsFile(obsOut.probeOut, caps, essdsim.WriteProbesJSON, essdsim.WriteProbesCSV); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-func writeObsFile(path string, caps []*essdsim.ObsCapture,
-	jsonFn, csvFn func(io.Writer, []*essdsim.ObsCapture) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	fn := csvFn
-	if strings.HasSuffix(path, ".json") {
-		fn = jsonFn
-	}
-	err = fn(f, caps)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "essdbench:", err)
-	os.Exit(1)
 }

@@ -1,6 +1,7 @@
 // Command uccontract runs the unwritten-contract checker against an ESSD
 // profile, using the local SSD as the comparison baseline, and prints the
-// verdict on all four observations plus the five implications.
+// verdict on all four observations plus the five implications. It exits 2
+// when the contract does not hold.
 //
 // Examples:
 //
@@ -9,35 +10,55 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
-	"essdsim"
 	"essdsim/internal/blockdev"
+	"essdsim/internal/cli"
 	"essdsim/internal/contract"
 	"essdsim/internal/harness"
 	"essdsim/internal/profiles"
 	"essdsim/internal/sim"
 )
 
-func main() {
-	var (
-		device  = flag.String("device", "essd1", "ESSD profile to check: "+strings.Join(essdsim.ProfileNames(), ", "))
-		quick   = flag.Bool("quick", false, "reduced grids for a fast pass")
-		seed    = flag.Uint64("seed", 11, "deterministic seed")
-		jsonOut = flag.Bool("json", false, "emit the report as JSON")
-		mult    = flag.Float64("capmult", 3, "sustained-write volume in capacity multiples")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// run executes one uccontract invocation and returns its exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	passed, err := check(args, stdout, stderr)
+	if err == nil && !passed {
+		return 2
+	}
+	return cli.Exit("uccontract", stderr, err)
+}
+
+// check evaluates the contract and prints the report; passed is the
+// verdict.
+func check(args []string, stdout, stderr io.Writer) (passed bool, err error) {
+	fs := cli.NewFlagSet("uccontract", stderr)
+	var (
+		device  = fs.String("device", "essd1", "ESSD profile to check: "+strings.Join(profiles.Names(), ", "))
+		quick   = fs.Bool("quick", false, "reduced grids for a fast pass")
+		seed    = fs.Uint64("seed", 11, "deterministic seed")
+		jsonOut = fs.Bool("json", false, "emit the report as JSON")
+		mult    = fs.Float64("capmult", 3, "sustained-write volume in capacity multiples")
+	)
+	if err := cli.Parse(fs, args); err != nil {
+		return false, err
+	}
+	// The experiment cells build devices through factories that cannot
+	// return an error, so reject an unknown profile before any cell runs.
+	if !slices.Contains(profiles.Names(), *device) {
+		return false, fmt.Errorf("unknown device %q (want %s)", *device, strings.Join(profiles.Names(), ", "))
+	}
 	mk := func(name string) harness.Factory {
 		return func(s uint64) blockdev.Device {
 			d, err := profiles.ByName(name, sim.NewEngine(), sim.NewRNG(*seed^s, s+1))
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "uccontract:", err)
-				os.Exit(1)
+				panic(err) // the name was checked above
 			}
 			return d
 		}
@@ -60,16 +81,13 @@ func main() {
 	if *jsonOut {
 		js, err := report.MarshalIndent()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "uccontract:", err)
-			os.Exit(1)
+			return false, err
 		}
-		fmt.Println(string(js))
+		fmt.Fprintln(stdout, string(js))
 	} else {
-		contract.Format(os.Stdout, report)
-		fmt.Println()
-		contract.FormatAdvice(os.Stdout, report)
+		contract.Format(stdout, report)
+		fmt.Fprintln(stdout)
+		contract.FormatAdvice(stdout, report)
 	}
-	if !report.Passed() {
-		os.Exit(2)
-	}
+	return report.Passed(), nil
 }

@@ -14,41 +14,46 @@
 package main
 
 import (
-	"flag"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 
 	"essdsim"
+	"essdsim/internal/cli"
 	"essdsim/internal/fio"
 	"essdsim/internal/trace"
 	"essdsim/internal/workload"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-	}
-	switch os.Args[1] {
-	case "gen":
-		gen(os.Args[2:])
-	case "replay":
-		replay(os.Args[2:])
-	default:
-		usage()
-	}
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
+const usage = `usage:
   uctrace gen -rw <pattern> -bs <size> -iodepth <n> -ops <n> [-device <name>] [-o file]
-  uctrace replay -device <name> [-format text|msr] <trace-file>`)
-	os.Exit(1)
+  uctrace replay -device <name> [-format text|msr] <trace-file>`
+
+// errUsage asks run to print the usage and exit 1.
+var errUsage = errors.New("usage")
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes one uctrace invocation and returns its exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	err := errUsage
+	if len(args) > 0 && args[0] == "gen" {
+		err = gen(args[1:], stdout, stderr)
+	} else if len(args) > 0 && args[0] == "replay" {
+		err = replay(args[1:], stdout, stderr)
+	}
+	if err == errUsage {
+		fmt.Fprintln(stderr, usage)
+		return 1
+	}
+	return cli.Exit("uctrace", stderr, err)
 }
 
 // gen records a synthetic workload's submission times on a reference
 // device into a portable trace.
-func gen(args []string) {
-	fs := flag.NewFlagSet("gen", flag.ExitOnError)
+func gen(args []string, stdout, stderr io.Writer) error {
+	fs := cli.NewFlagSet("gen", stderr)
 	var (
 		rw      = fs.String("rw", "randwrite", "pattern")
 		bs      = fs.String("bs", "4k", "I/O size")
@@ -58,70 +63,70 @@ func gen(args []string) {
 		out     = fs.String("o", "", "output file (default stdout)")
 		seed    = fs.Uint64("seed", 1, "deterministic seed")
 	)
-	fs.Parse(args)
-
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 	pattern, err := workload.ParsePattern(*rw)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	blockSize, err := fio.ParseSize(*bs)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	eng := essdsim.NewEngine()
-	dev, err := essdsim.NewDevice(*device, eng, *seed)
+	dev, err := essdsim.NewDevice(*device, essdsim.NewEngine(), *seed)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	essdsim.Precondition(dev, pattern.IsWrite())
-	rec := trace.NewRecorder(dev)
-	essdsim.Run(rec, essdsim.Workload{
+	spec := essdsim.Workload{
 		Pattern:    pattern,
 		BlockSize:  blockSize,
 		QueueDepth: *iodepth,
 		MaxOps:     *ops,
 		Seed:       *seed,
-	})
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
 	}
-	if err := trace.Write(w, rec.Recs); err != nil {
-		fatal(err)
+	if err := spec.Validate(dev); err != nil {
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "uctrace: wrote %d records\n", len(rec.Recs))
+	essdsim.Precondition(dev, pattern.IsWrite())
+	rec := trace.NewRecorder(dev)
+	essdsim.Run(rec, spec)
+	write := func(w io.Writer) error { return trace.Write(w, rec.Recs) }
+	if *out == "" {
+		err = write(stdout)
+	} else {
+		err = cli.WriteFile(*out, write)
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "uctrace: wrote %d records\n", len(rec.Recs))
+	return nil
 }
 
-func replay(args []string) {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
+// replay replays one trace file open-loop on a device and prints its
+// summary.
+func replay(args []string, stdout, stderr io.Writer) error {
+	fs := cli.NewFlagSet("replay", stderr)
 	var (
 		device  = fs.String("device", "essd1", "device to replay onto")
 		seed    = fs.Uint64("seed", 1, "deterministic seed")
 		precond = fs.Bool("precondition", true, "fill the device before replay")
 		format  = fs.String("format", "text", "trace format: text (native) or msr (MSR-Cambridge CSV)")
 	)
-	fs.Parse(args)
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 	if fs.NArg() != 1 {
-		usage()
+		return errUsage
 	}
-	f, err := os.Open(fs.Arg(0))
+	recs, err := cli.ReadTrace(fs.Arg(0), *format)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	recs, err := trace.ReadFormat(f, *format)
-	f.Close()
+	dev, err := essdsim.NewDevice(*device, essdsim.NewEngine(), *seed)
 	if err != nil {
-		fatal(err)
-	}
-	eng := essdsim.NewEngine()
-	dev, err := essdsim.NewDevice(*device, eng, *seed)
-	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *format == "msr" {
 		// Foreign traces address production-size volumes; wrap them onto
@@ -137,13 +142,9 @@ func replay(args []string) {
 	if res.Nominal > 0 {
 		stretch = fmt.Sprintf("%.2fx", res.Stretch)
 	}
-	fmt.Printf("%s: replayed %d ops, %d bytes in %v (stretch %s, lag %v, peak queue %d)\n",
+	fmt.Fprintf(stdout, "%s: replayed %d ops, %d bytes in %v (stretch %s, lag %v, peak queue %d)\n",
 		res.Device, res.Ops, res.Bytes, res.Elapsed, stretch, res.Lag, res.MaxOutstanding)
-	fmt.Printf("latency avg=%v p50=%v p99=%v p99.9=%v max=%v\n",
+	fmt.Fprintf(stdout, "latency avg=%v p50=%v p99=%v p99.9=%v max=%v\n",
 		s.Mean, s.P50, s.P99, s.P999, s.Max)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "uctrace:", err)
-	os.Exit(1)
+	return nil
 }

@@ -284,13 +284,6 @@ func ReadTraceFormat(r io.Reader, format string) ([]TraceRecord, error) {
 	return trace.ReadFormat(r, format)
 }
 
-// ParseMSRTrace converts MSR-Cambridge block-trace CSV rows
-// (Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime) into
-// replayable records, rebased so the earliest request issues at time zero.
-// Pass the result through FitTrace before replaying onto a scaled
-// simulated device.
-func ParseMSRTrace(r io.Reader) ([]TraceRecord, error) { return trace.ParseMSR(r) }
-
 // FitTrace maps a foreign trace onto a device geometry: offsets aligned
 // and wrapped modulo capacity, sizes rounded to whole blocks and clamped.
 func FitTrace(recs []TraceRecord, capacity, blockSize int64) []TraceRecord {
@@ -309,14 +302,8 @@ func ReplayTrace(dev Device, recs []TraceRecord) *TraceReplayResult {
 type (
 	// ExperimentOptions tune harness durations and seeding.
 	ExperimentOptions = harness.Options
-	// LatencyGrid is a Figure 2 measurement.
-	LatencyGrid = harness.LatencyGrid
 	// SustainedResult is a Figure 3 measurement.
 	SustainedResult = harness.SustainedResult
-	// RandSeqResult is a Figure 4 measurement.
-	RandSeqResult = harness.RandSeqResult
-	// MixedResult is a Figure 5 measurement.
-	MixedResult = harness.MixedResult
 	// DeviceFactory constructs a fresh device for one experiment cell.
 	DeviceFactory = harness.Factory
 )
@@ -367,30 +354,11 @@ const (
 	PrecondNone   = expgrid.PrecondNone
 )
 
-// SweepDevices builds a single-device axis for a Sweep.
-func SweepDevices(name string, f DeviceFactory) []NamedFactory {
-	return expgrid.Devices(name, f)
-}
-
 // ProfileDevices builds a sweep device axis from profile names (see
 // ProfileNames). A cell whose profile name is unknown fails with a
 // descriptive error when it runs.
 func ProfileDevices(names ...string) []NamedFactory {
-	devices := make([]NamedFactory, 0, len(names))
-	for _, name := range names {
-		name := name
-		devices = append(devices, NamedFactory{
-			Name: name,
-			New: func(seed uint64) Device {
-				dev, err := NewDevice(name, NewEngine(), seed)
-				if err != nil {
-					panic(err) // expgrid recovers this into CellResult.Err
-				}
-				return dev
-			},
-		})
-	}
-	return devices
+	return ProfileDevicesQoS(Isolation{}, 0, 0, names...)
 }
 
 // RunSweep executes every cell of the sweep on workers goroutines
@@ -810,78 +778,10 @@ func FormatWorkloadResult(w io.Writer, r *WorkloadResult) {
 	harness.FormatWorkloadResult(w, r)
 }
 
-// Key-value storage engine types (package kv): two write-path designs over
-// simulated block devices — the leveled LSM engine and the update-in-place
-// page store — with honest device-level I/O accounting, plus the ingest
-// harness and the multi-tenant open-loop mix runner.
-type (
-	// KVEngine is the storage-engine interface both designs implement:
-	// Put/Get with completion callbacks, write batches, a background-work
-	// barrier, and a Stats snapshot.
-	KVEngine = kv.Engine
-	// KVStats is an engine's cumulative activity snapshot (user ops,
-	// device I/O, flushes, compactions, cache hits, stalls) with
-	// ReadAmp/WriteAmp helpers.
-	KVStats = kv.Stats
-	// KVLSMConfig shapes the LSM engine (memtable bytes, fanout, level-0
-	// compaction trigger, bytes-per-level growth).
-	KVLSMConfig = kv.LSMConfig
-	// KVPageStoreConfig shapes the page store (page size, cache pages).
-	KVPageStoreConfig = kv.PageStoreConfig
-	// KVIngestSpec declares a closed-loop bulk-load measurement.
-	KVIngestSpec = kv.IngestSpec
-	// KVIngestResult is a completed ingest measurement.
-	KVIngestResult = kv.IngestResult
-	// KVMixSpec is one tenant's open-loop zipfian read/write traffic.
-	KVMixSpec = kv.MixSpec
-	// KVMixTenant pairs a storage engine with the traffic that drives it.
-	KVMixTenant = kv.MixTenant
-	// KVMixResult is one tenant's measurement from a RunKVMix call.
-	KVMixResult = kv.MixResult
-	// KVMixProfile is a measured tenant's device-level demand shape,
-	// placeable via KVDemand.
-	KVMixProfile = kv.MixProfile
-)
-
-// NewKVLSM builds a leveled LSM engine over the device.
-func NewKVLSM(dev Device, cfg KVLSMConfig) *kv.LSM { return kv.NewLSM(dev, cfg) }
-
-// DefaultKVLSMConfig returns the stock LSM shape (8 MiB memtable, fanout
-// 10, level-0 trigger 4).
-func DefaultKVLSMConfig() KVLSMConfig { return kv.DefaultLSMConfig() }
-
-// NewKVPageStore builds an update-in-place page store over the device.
-func NewKVPageStore(dev Device, cfg KVPageStoreConfig) *kv.PageStore {
-	return kv.NewPageStore(dev, cfg)
-}
-
-// DefaultKVPageStoreConfig sizes pages to the device's block size and the
-// cache to a fraction of its capacity.
-func DefaultKVPageStoreConfig(dev Device) KVPageStoreConfig {
-	return kv.DefaultPageStoreConfig(dev)
-}
-
-// KVIngest runs a closed-loop bulk load against the engine and returns
-// its throughput and amplification measurement.
-func KVIngest(eng *Engine, e KVEngine, spec KVIngestSpec) KVIngestResult {
-	return kv.IngestRun(eng, e, spec)
-}
-
-// RunKVMixTenants drives several KV tenants' open-loop arrival schedules
-// concurrently inside one simulation engine — the multi-tenant regime
-// where one tenant's compactions contend with another's point reads on a
-// shared backend. Results are in tenant order.
-func RunKVMixTenants(eng *Engine, tenants []KVMixTenant) []*KVMixResult {
-	return kv.RunMix(eng, tenants)
-}
-
-// KVProfileOf summarizes a mix result as the device-level demand shape
-// the tenant's engine actually offered.
-func KVProfileOf(r *KVMixResult) KVMixProfile { return kv.ProfileOf(r) }
-
-// KVDemand converts a measured KV tenant profile into a placeable fleet
-// demand (the engine-translated device load, not the user op rate).
-func KVDemand(name string, p KVMixProfile, blockSize int64) (FleetDemand, error) {
+// KVDemand converts a measured KV tenant profile (kv.ProfileOf of a
+// kv.RunMix result) into a placeable fleet demand (the engine-translated
+// device load, not the user op rate).
+func KVDemand(name string, p kv.MixProfile, blockSize int64) (FleetDemand, error) {
 	return fleet.DemandFromKV(name, p, blockSize)
 }
 
