@@ -74,6 +74,56 @@ type Array struct {
 	dies     []*sim.Server
 	channels []*sim.Pipe
 	counters Counters
+	freeOps  *op // recycled two-stage operation records
+}
+
+// op carries a read or program between its two stages, the die visit and
+// the channel transfer. Records are recycled through the array's free list
+// with their stage methods bound once, so neither stage allocates a
+// closure.
+type op struct {
+	a        *Array
+	die      int
+	done     func()
+	program  func() // bound onTransferred: the unit is on the die, program it
+	transfer func() // bound onRead: the page is read, move it over the channel
+	nextFree *op
+}
+
+func (a *Array) getOp(die int, done func()) *op {
+	o := a.freeOps
+	if o != nil {
+		a.freeOps = o.nextFree
+		o.nextFree = nil
+	} else {
+		o = &op{a: a}
+		o.program = o.onTransferred
+		o.transfer = o.onRead
+	}
+	o.die, o.done = die, done
+	return o
+}
+
+// put recycles the record and returns its die and completion.
+func (o *op) put() (die int, done func()) {
+	a := o.a
+	die, done = o.die, o.done
+	o.done = nil
+	o.nextFree = a.freeOps
+	a.freeOps = o
+	return die, done
+}
+
+func (o *op) onTransferred() {
+	a := o.a
+	die, done := o.put()
+	a.dies[die].Visit(a.cfg.ProgramDist.Sample(a.rng), done)
+}
+
+func (o *op) onRead() {
+	a := o.a
+	die, done := o.put()
+	a.channelOf(die).Transfer(a.cfg.PageSize, done)
 }
 
 // NewArray builds the array on the given engine. rng drives the optional
@@ -123,10 +173,7 @@ func (a *Array) channelOf(die int) *sim.Pipe {
 // channel.
 func (a *Array) ReadPage(die int, done func()) {
 	a.counters.PageReads++
-	ch := a.channelOf(die)
-	a.dies[die].Visit(a.cfg.ReadDist.Sample(a.rng), func() {
-		ch.Transfer(a.cfg.PageSize, done)
-	})
+	a.dies[die].Visit(a.cfg.ReadDist.Sample(a.rng), a.getOp(die, done).transfer)
 }
 
 // ProgramUnit transfers one multi-plane program unit over the channel and
@@ -134,10 +181,7 @@ func (a *Array) ReadPage(die int, done func()) {
 // are durable.
 func (a *Array) ProgramUnit(die int, done func()) {
 	a.counters.UnitPrograms++
-	ch := a.channelOf(die)
-	ch.Transfer(a.cfg.ProgramUnitBytes(), func() {
-		a.dies[die].Visit(a.cfg.ProgramDist.Sample(a.rng), done)
-	})
+	a.channelOf(die).Transfer(a.cfg.ProgramUnitBytes(), a.getOp(die, done).program)
 }
 
 // EraseBlockColumn erases one block column (all planes) on the given die.

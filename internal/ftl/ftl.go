@@ -116,15 +116,22 @@ type FTL struct {
 	gc   frontier
 
 	// Write buffer.
-	bufState    []uint8 // per-LPN buffer flags
-	bufUsed     int64
-	pendingFIFO []int64
-	waiters     []waiter
-	drainBusy   []int8 // in-flight program units per die
-	forceFlush  int    // outstanding flush requests
-	flushDone   []func()
+	bufState   []uint8 // per-LPN buffer flags
+	bufUsed    int64
+	pending    ring[int64]  // admitted pages not yet drained, oldest first
+	waiters    ring[waiter] // host writes not yet fully admitted
+	drainBusy  []int8       // in-flight program units per die
+	forceFlush int          // outstanding flush requests
+	flushDone  []func()
+	freeUnits  *drainUnit // recycled drain records
 
-	gcActive bool
+	gcActive    bool
+	reloc       relocation // the victim GC is relocating
+	freeBatches *gcBatch   // recycled relocation batches
+
+	// state owns the pooled storage behind mapping, rmap, bufState and
+	// pending; nil once Release has returned it.
+	state *addrState
 
 	counters Counters
 }
@@ -168,14 +175,12 @@ func New(eng *sim.Engine, arr *flash.Array, cfg Config) *FTL {
 	if int64(f.numSBs)*int64(f.slotsPerSB) > int64(1)<<31 {
 		panic("ftl: physical slot space exceeds int32 packing")
 	}
-	f.mapping = make([]int32, f.userLPNs)
-	for i := range f.mapping {
-		f.mapping[i] = unmapped
-	}
-	f.rmap = make([]int32, f.numSBs*f.slotsPerSB)
-	for i := range f.rmap {
-		f.rmap[i] = unmapped
-	}
+	// Pending plus in-flight pages never exceed the buffer, so a pending
+	// ring of the buffer's page count never grows.
+	f.state = acquireState(f.userLPNs, f.numSBs*f.slotsPerSB,
+		max(int(cfg.WriteBufferBytes/cfg.LogicalPageSize), 1))
+	f.mapping, f.rmap, f.bufState = f.state.mapping, f.state.rmap, f.state.bufState
+	f.pending = ring[int64]{buf: f.state.pending}
 	f.sbValid = make([]int32, f.numSBs)
 	f.sbErases = make([]int32, f.numSBs)
 	f.sbState = make([]uint8, f.numSBs)
@@ -185,7 +190,6 @@ func New(eng *sim.Engine, arr *flash.Array, cfg Config) *FTL {
 	}
 	f.host = frontier{sb: -1}
 	f.gc = frontier{sb: -1}
-	f.bufState = make([]uint8, f.userLPNs)
 	f.drainBusy = make([]int8, f.dies)
 	return f
 }
@@ -197,7 +201,10 @@ func (f *FTL) Counters() Counters { return f.counters }
 func (f *FTL) UserLPNs() int64 { return f.userLPNs }
 
 // FreeSuperblocks returns the current number of free superblocks.
-func (f *FTL) FreeSuperblocks() int { return len(f.freeSBs) }
+func (f *FTL) FreeSuperblocks() int {
+	f.mustLive()
+	return len(f.freeSBs)
+}
 
 // NumSuperblocks returns the total number of superblocks.
 func (f *FTL) NumSuperblocks() int { return f.numSBs }
@@ -277,21 +284,22 @@ func (f *FTL) ensureOpen(fr *frontier, reserve int) bool {
 }
 
 // allocUnit reserves the next program unit on the frontier and binds the
-// given LPNs to its slots, updating the mapping synchronously. It returns
-// the die the unit lands on.
-func (f *FTL) allocUnit(fr *frontier, lpns []int64) (die int) {
-	base := fr.next
-	die = f.dieOfSlot(base)
+// given LPNs to its slots, updating the mapping synchronously. The unit
+// lands on die f.dieOfSlot(fr.next) as read before the call.
+func (f *FTL) allocUnit(fr *frontier, lpns []int64) {
+	sb := fr.sb
+	ppn := sb*int32(f.slotsPerSB) + fr.next
 	fr.next += int32(f.slotsPerUnit)
-	sbBase := fr.sb * int32(f.slotsPerSB)
-	for i, lpn := range lpns {
-		ppn := sbBase + base + int32(i)
+	mapping, rmap := f.mapping, f.rmap
+	for _, lpn := range lpns {
 		f.invalidate(lpn)
-		f.mapping[lpn] = ppn
-		f.rmap[ppn] = int32(lpn)
-		f.sbValid[fr.sb]++
+		mapping[lpn] = ppn
+		rmap[ppn] = int32(lpn)
+		ppn++
 	}
-	return die
+	// One add per unit: invalidate only ever decrements a count, and no
+	// count is read until the unit is bound.
+	f.sbValid[sb] += int32(len(lpns))
 }
 
 // HostWrite buffers count logical pages starting at lpn and acknowledges
@@ -303,7 +311,7 @@ func (f *FTL) HostWrite(lpn, count int64, done func()) {
 	if done == nil {
 		done = func() {}
 	}
-	f.waiters = append(f.waiters, waiter{lpn: lpn, count: count, since: f.eng.Now(), done: done})
+	f.waiters.push(waiter{lpn: lpn, count: count, since: f.eng.Now(), done: done})
 	f.admitWaiters()
 	f.kickDrain()
 }
@@ -313,8 +321,8 @@ func (f *FTL) HostWrite(lpn, count int64, done func()) {
 // whole buffer stream through it; the request acks when its last page is
 // admitted.
 func (f *FTL) admitWaiters() {
-	for len(f.waiters) > 0 {
-		w := &f.waiters[0]
+	for f.waiters.len() > 0 {
+		w := f.waiters.front()
 		for w.count > 0 {
 			p := w.lpn
 			if f.bufState[p]&bufPending != 0 {
@@ -327,22 +335,19 @@ func (f *FTL) admitWaiters() {
 				return // head waiter blocked: preserve FIFO order
 			}
 			f.bufState[p] |= bufPending
-			f.pendingFIFO = append(f.pendingFIFO, p)
+			f.pending.push(p)
 			f.bufUsed += f.cfg.LogicalPageSize
 			w.lpn++
 			w.count--
 		}
 		f.counters.BufferStallNanos += f.eng.Now().Sub(w.since)
-		done := w.done
-		copy(f.waiters, f.waiters[1:])
-		f.waiters = f.waiters[:len(f.waiters)-1]
-		done()
+		f.waiters.pop().done()
 	}
 }
 
 // Flush forces the write buffer to drain completely, then calls done.
 func (f *FTL) Flush(done func()) {
-	if f.bufUsed == 0 && len(f.waiters) == 0 {
+	if f.bufUsed == 0 && f.waiters.len() == 0 {
 		done()
 		return
 	}
@@ -352,7 +357,7 @@ func (f *FTL) Flush(done func()) {
 }
 
 func (f *FTL) checkFlushDone() {
-	if f.forceFlush == 0 || f.bufUsed != 0 || len(f.waiters) != 0 {
+	if f.forceFlush == 0 || f.bufUsed != 0 || f.waiters.len() != 0 {
 		return
 	}
 	dones := f.flushDone
@@ -365,8 +370,8 @@ func (f *FTL) checkFlushDone() {
 
 // kickDrain starts as many program units as die scheduling and space allow.
 func (f *FTL) kickDrain() {
-	for len(f.pendingFIFO) > 0 {
-		if len(f.pendingFIFO) < f.slotsPerUnit && f.forceFlush == 0 {
+	for f.pending.len() > 0 {
+		if f.pending.len() < f.slotsPerUnit && f.forceFlush == 0 {
 			return // wait for a full unit
 		}
 		if !f.ensureOpen(&f.host, f.cfg.ReserveSBs) {
@@ -380,35 +385,63 @@ func (f *FTL) kickDrain() {
 			// idling other dies behind one slow MSB program.
 			return
 		}
-		n := f.slotsPerUnit
-		if n > len(f.pendingFIFO) {
-			n = len(f.pendingFIFO)
-		}
-		batch := make([]int64, n)
-		copy(batch, f.pendingFIFO[:n])
-		copy(f.pendingFIFO, f.pendingFIFO[n:])
-		f.pendingFIFO = f.pendingFIFO[:len(f.pendingFIFO)-n]
-		for _, p := range batch {
+		n := min(f.slotsPerUnit, f.pending.len())
+		u := f.getUnit()
+		u.die = die
+		for i := 0; i < n; i++ {
+			p := f.pending.pop()
 			f.bufState[p] &^= bufPending
 			f.bufState[p] += bufInflight
+			u.lpns = append(u.lpns, p)
 		}
-		f.allocUnit(&f.host, batch)
+		f.allocUnit(&f.host, u.lpns)
 		f.counters.HostSlots += uint64(n)
 		f.drainBusy[die]++
-		released := int64(n) * f.cfg.LogicalPageSize
-		f.arr.ProgramUnit(die, func() {
-			f.drainBusy[die]--
-			f.bufUsed -= released
-			for _, p := range batch {
-				f.bufState[p] -= bufInflight
-			}
-			f.admitWaiters()
-			f.maybeGC()
-			f.kickDrain()
-			f.checkFlushDone()
-		})
+		f.arr.ProgramUnit(die, u.programmed)
 		f.maybeGC()
 	}
+}
+
+// drainUnit is one host program unit in flight from the write buffer to
+// flash. Records are recycled through the FTL's free list with their
+// completion method bound once, so draining a unit allocates nothing.
+type drainUnit struct {
+	f          *FTL
+	die        int
+	lpns       []int64
+	programmed func() // bound onProgrammed
+	nextFree   *drainUnit
+}
+
+func (f *FTL) getUnit() *drainUnit {
+	u := f.freeUnits
+	if u != nil {
+		f.freeUnits = u.nextFree
+		u.nextFree = nil
+		return u
+	}
+	u = &drainUnit{f: f, lpns: make([]int64, 0, f.slotsPerUnit)}
+	u.programmed = u.onProgrammed
+	return u
+}
+
+// onProgrammed releases the unit's pages from the write buffer once they
+// are durable, recycles the record, and restarts whatever the freed space
+// unblocks.
+func (u *drainUnit) onProgrammed() {
+	f := u.f
+	f.drainBusy[u.die]--
+	f.bufUsed -= int64(len(u.lpns)) * f.cfg.LogicalPageSize
+	for _, p := range u.lpns {
+		f.bufState[p] -= bufInflight
+	}
+	u.lpns = u.lpns[:0]
+	u.nextFree = f.freeUnits
+	f.freeUnits = u
+	f.admitWaiters()
+	f.maybeGC()
+	f.kickDrain()
+	f.checkFlushDone()
 }
 
 // ReadLPNs reads count logical pages starting at lpn, calling done when all
@@ -517,83 +550,117 @@ func (f *FTL) pickVictim() int32 {
 	return best
 }
 
-// relocate moves all still-valid slots of victim v to the GC frontier using
-// up to GCStreams concurrent read+program pipelines, then calls done.
+// relocation moves the still-valid slots of one GC victim to the GC
+// frontier through up to GCStreams concurrent read+program batches. GC
+// relocates one victim at a time, so each FTL reuses one relocation and
+// its live-slot buffer, and the batches recycle gcBatch records: moving a
+// victim allocates nothing per batch.
+type relocation struct {
+	f      *FTL
+	v      int32
+	live   []int32 // victim slots valid at selection, ascending
+	idx    int     // next live slot to batch
+	active int     // batches in flight
+	done   func()
+}
+
+// relocate moves all still-valid slots of victim v to the GC frontier,
+// then calls done.
 func (f *FTL) relocate(v int32, done func()) {
+	r := &f.reloc
+	*r = relocation{f: f, v: v, live: r.live[:0], done: done}
 	base := int32(f.slotsPerSB) * v
-	var live []int32
 	for s := int32(0); s < int32(f.slotsPerSB); s++ {
 		if f.rmap[base+s] != unmapped {
-			live = append(live, s)
+			r.live = append(r.live, s)
 		}
 	}
-	idx, active := 0, 0
-	finished := false
-	var pump func()
-	finish := func() {
-		if !finished && idx >= len(live) && active == 0 {
-			finished = true
-			done()
-		}
+	r.pump()
+}
+
+// pump starts batches of up to one program unit of live slots while
+// streams are free, and calls done once every batch has finished. Batches
+// complete through events, never inside gcMoveBatch, so done runs exactly
+// once: from the last batch's completion, or here if nothing is live.
+func (r *relocation) pump() {
+	f := r.f
+	for r.active < f.cfg.GCStreams && r.idx < len(r.live) {
+		n := min(f.slotsPerUnit, len(r.live)-r.idx)
+		slots := r.live[r.idx : r.idx+n]
+		r.idx += n
+		r.active++
+		f.gcMoveBatch(r.v, slots)
 	}
-	pump = func() {
-		for active < f.cfg.GCStreams && idx < len(live) {
-			n := f.slotsPerUnit
-			if n > len(live)-idx {
-				n = len(live) - idx
-			}
-			batch := live[idx : idx+n]
-			idx += n
-			active++
-			f.gcMoveBatch(v, batch, func() {
-				active--
-				pump()
-				finish()
-			})
-		}
-		finish()
+	if r.idx == len(r.live) && r.active == 0 {
+		r.done()
 	}
-	pump()
+}
+
+func (r *relocation) onBatchDone() {
+	r.active--
+	r.pump()
+}
+
+// gcBatch is one relocation batch in flight: the flash pages behind its
+// victim slots are read, then the slots still live are programmed to the
+// GC frontier. Records are recycled through the FTL's free list with their
+// stage methods bound once.
+type gcBatch struct {
+	f        *FTL
+	v        int32
+	slots    []int32 // a window of the relocation's live slots
+	reads    int     // page reads outstanding
+	lpns     []int64
+	read     func() // bound onRead
+	done     func() // bound onDone
+	nextFree *gcBatch
 }
 
 // gcMoveBatch reads the flash pages backing a batch of victim slots and
 // programs the still-live ones to the GC frontier.
-func (f *FTL) gcMoveBatch(v int32, slots []int32, done func()) {
+func (f *FTL) gcMoveBatch(v int32, slots []int32) {
+	b := f.freeBatches
+	if b != nil {
+		f.freeBatches = b.nextFree
+		b.nextFree = nil
+	} else {
+		b = &gcBatch{f: f, lpns: make([]int64, 0, f.slotsPerUnit)}
+		b.read = b.onRead
+		b.done = b.onDone
+	}
+	b.v, b.slots = v, slots
 	base := int32(f.slotsPerSB) * v
-	pages := make(map[int32]int) // page -> die
+	last := int32(-1)
 	for _, s := range slots {
 		if f.rmap[base+s] == unmapped {
 			continue // overwritten since selection
 		}
-		pages[(base+s)/int32(f.slotsPerPage)] = f.dieOfSlot(s)
+		// Slots ascend, so one page's slots are adjacent: one read each.
+		if pg := (base + s) / int32(f.slotsPerPage); pg != last {
+			last = pg
+			b.reads++
+			f.arr.ReadPage(f.dieOfSlot(s), b.read)
+		}
 	}
-	if len(pages) == 0 {
-		f.eng.Schedule(0, done)
-		return
-	}
-	remaining := len(pages)
-	for _, die := range pages {
-		f.arr.ReadPage(die, func() {
-			remaining--
-			if remaining > 0 {
-				return
-			}
-			f.gcProgramBatch(v, slots, done)
-		})
+	if b.reads == 0 {
+		f.eng.Schedule(0, b.done)
 	}
 }
 
-func (f *FTL) gcProgramBatch(v int32, slots []int32, done func()) {
-	base := int32(f.slotsPerSB) * v
-	var lpns []int64
-	for _, s := range slots {
-		lpn := f.rmap[base+s]
-		if lpn != unmapped {
-			lpns = append(lpns, int64(lpn))
+func (b *gcBatch) onRead() {
+	b.reads--
+	if b.reads > 0 {
+		return
+	}
+	f := b.f
+	base := int32(f.slotsPerSB) * b.v
+	for _, s := range b.slots {
+		if lpn := f.rmap[base+s]; lpn != unmapped {
+			b.lpns = append(b.lpns, int64(lpn))
 		}
 	}
-	if len(lpns) == 0 {
-		f.eng.Schedule(0, done)
+	if len(b.lpns) == 0 {
+		f.eng.Schedule(0, b.done)
 		return
 	}
 	// The GC frontier may dip into the reserve; progress is guaranteed
@@ -601,9 +668,19 @@ func (f *FTL) gcProgramBatch(v int32, slots []int32, done func()) {
 	if !f.ensureOpen(&f.gc, 0) {
 		panic("ftl: GC frontier could not open a superblock (reserve misconfigured)")
 	}
-	die := f.allocUnit(&f.gc, lpns)
-	f.counters.GCSlots += uint64(len(lpns))
-	f.arr.ProgramUnit(die, done)
+	die := f.dieOfSlot(f.gc.next)
+	f.allocUnit(&f.gc, b.lpns)
+	f.counters.GCSlots += uint64(len(b.lpns))
+	f.arr.ProgramUnit(die, b.done)
+}
+
+// onDone recycles the batch and reports it to the relocation.
+func (b *gcBatch) onDone() {
+	f := b.f
+	b.slots, b.lpns = nil, b.lpns[:0]
+	b.nextFree = f.freeBatches
+	f.freeBatches = b
+	f.reloc.onBatchDone()
 }
 
 // eraseSB erases all block columns of the victim in parallel, returns it to
@@ -644,31 +721,42 @@ func (f *FTL) Precondition(fillFrac float64, randomized bool, rng *sim.RNG) {
 		fillFrac = 1
 	}
 	n := int64(fillFrac * float64(f.userLPNs))
-	order := make([]int64, n)
-	for i := range order {
-		order[i] = int64(i)
-	}
+	// Sequential layouts need no permutation table: unit k carries LPNs
+	// [k·slotsPerUnit, (k+1)·slotsPerUnit), filled straight into unit.
+	var order []int64
 	if randomized {
+		order = make([]int64, n)
+		for i := range order {
+			order[i] = int64(i)
+		}
 		for i := int64(n - 1); i > 0; i-- {
 			j := rng.Int64N(i + 1)
 			order[i], order[j] = order[j], order[i]
 		}
 	}
+	unit := make([]int64, f.slotsPerUnit)
 	for i := int64(0); i < n; i += int64(f.slotsPerUnit) {
-		end := i + int64(f.slotsPerUnit)
-		if end > n {
-			end = n
+		end := min(i+int64(f.slotsPerUnit), n)
+		var lpns []int64
+		if randomized {
+			lpns = order[i:end]
+		} else {
+			lpns = unit[:end-i]
+			for k := range lpns {
+				lpns[k] = i + int64(k)
+			}
 		}
 		if !f.ensureOpen(&f.host, f.cfg.ReserveSBs) {
 			panic("ftl: precondition ran out of space")
 		}
-		f.allocUnit(&f.host, order[i:end])
-		f.counters.PreconditionSlots += uint64(end - i)
+		f.allocUnit(&f.host, lpns)
+		f.counters.PreconditionSlots += uint64(len(lpns))
 	}
 }
 
 // Utilization returns the fraction of user LPNs currently mapped.
 func (f *FTL) Utilization() float64 {
+	f.mustLive()
 	var mappedCount int64
 	for _, sb := range f.sbValid {
 		mappedCount += int64(sb)

@@ -328,7 +328,10 @@ func checkIntegrity(t *testing.T, f *FTL) {
 }
 
 // Property: any sequence of small writes and trims preserves mapping
-// integrity once the event loop drains.
+// integrity once the event loop drains. The seed decides where the event
+// loop runs between operations (to idle, for a random span, or not at
+// all), so drains, backpressure and GC interleave with the operations
+// differently from case to case.
 func TestMappingIntegrityProperty(t *testing.T) {
 	f := func(ops []uint16, seed uint64) bool {
 		eng, f := smallSetup(t, 16, 0.10)
@@ -340,7 +343,12 @@ func TestMappingIntegrityProperty(t *testing.T) {
 			} else {
 				f.HostWrite(lpn, int64(op%8)+1, nil)
 			}
-			_ = rng
+			switch rng.Int64N(4) {
+			case 0:
+				eng.Run()
+			case 1:
+				eng.RunFor(sim.Duration(rng.Int64N(int64(500 * sim.Microsecond))))
+			}
 		}
 		f.Flush(func() {})
 		eng.Run()

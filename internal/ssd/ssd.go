@@ -107,6 +107,8 @@ type SSD struct {
 	cacheOrder []int64 // FIFO eviction order
 	streams    []stream
 
+	freeWrites *writeOp // recycled write records
+
 	counters Counters
 }
 
@@ -155,6 +157,13 @@ func (s *SSD) FTLWriteAmp() float64 { return s.ftl.Counters().WriteAmplification
 // Counters returns host-visible activity counters.
 func (s *SSD) Counters() Counters { return s.counters }
 
+// ReleaseResources hands the FTL's capacity-sized address state to a pool
+// for the next SSD built (see ftl.FTL.Release); counters and Engine stay
+// readable. The device must serve no I/O afterwards, and its engine must
+// run none of its pending events: call only once the cell's measurement
+// and inspection are done.
+func (s *SSD) ReleaseResources() { s.ftl.Release() }
+
 // Precondition instantly fills fillFrac of the device as if written once
 // (sequentially laid out unless randomized).
 func (s *SSD) Precondition(fillFrac float64, randomized bool) {
@@ -191,18 +200,56 @@ func (s *SSD) lpnRange(r *blockdev.Request) (lpn, count int64) {
 }
 
 func (s *SSD) submitWrite(r *blockdev.Request) {
-	lpn, count := s.lpnRange(r)
 	s.counters.Writes++
 	s.counters.WriteBytes += r.Size
-	s.fw.Visit(s.cfg.FirmwareLatency.Sample(s.rng), func() {
-		s.up.Transfer(r.Size, func() {
-			// Writes invalidate any cached copies.
-			for i := int64(0); i < count; i++ {
-				s.dropCache(lpn + i)
-			}
-			s.ftl.HostWrite(lpn, count, func() { s.complete(r) })
-		})
-	})
+	o := s.freeWrites
+	if o != nil {
+		s.freeWrites = o.nextFree
+		o.nextFree = nil
+	} else {
+		o = &writeOp{s: s}
+		o.fwDone = o.onFirmware
+		o.sent = o.onSent
+		o.admitted = o.onAdmitted
+	}
+	o.r = r
+	s.fw.Visit(s.cfg.FirmwareLatency.Sample(s.rng), o.fwDone)
+}
+
+// writeOp carries one host write through firmware, the host link and
+// write-buffer admission. Records are recycled through the SSD's free list
+// with their stage methods bound once, so a write allocates nothing.
+type writeOp struct {
+	s        *SSD
+	r        *blockdev.Request
+	fwDone   func() // bound onFirmware
+	sent     func() // bound onSent
+	admitted func() // bound onAdmitted
+	nextFree *writeOp
+}
+
+func (o *writeOp) onFirmware() { o.s.up.Transfer(o.r.Size, o.sent) }
+
+func (o *writeOp) onSent() {
+	s := o.s
+	lpn, count := s.lpnRange(o.r)
+	// Writes invalidate any cached copies.
+	if len(s.cache) > 0 {
+		for i := int64(0); i < count; i++ {
+			s.dropCache(lpn + i)
+		}
+	}
+	s.ftl.HostWrite(lpn, count, o.admitted)
+}
+
+// onAdmitted recycles the record, then completes the request, so a
+// completion that submits the next write reuses this record.
+func (o *writeOp) onAdmitted() {
+	s, r := o.s, o.r
+	o.r = nil
+	o.nextFree = s.freeWrites
+	s.freeWrites = o
+	s.complete(r)
 }
 
 func (s *SSD) submitRead(r *blockdev.Request) {
