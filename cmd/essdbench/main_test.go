@@ -107,6 +107,10 @@ func TestRejects(t *testing.T) {
 		{"-device gp2s -rw randwrite -bs 256k -slo-p99 20ms -slo-range 200,3000 -ops 0", "-ops"},
 		{"-device essd1 -trace $T/empty.trace", "no records"},
 		{"-device essd1,ssd -workers -1", "-workers"},
+		{"-device essd1 -rw randwrite -bs 4k -rate NaN", "-rate"},
+		{"-device essd1 -rw randwrite -bs 4k -rate Inf", "-rate"},
+		{"-device gp2s -slo-p99 2ms -slo-range NaN,4000", "-slo-range"},
+		{"-device gp2s -slo-p99 2ms -slo-range 100,+Inf", "-slo-range"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			code, out, errOut := essdbench(dir, tc.args)

@@ -78,6 +78,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -262,7 +263,7 @@ func (x *experiments) validate() error {
 		{x.screenCandidates < 1, fmt.Sprintf("-screen-candidates wants at least 1, got %d", x.screenCandidates)},
 		{x.churnEpochs < 1, fmt.Sprintf("-churn-epochs wants at least 1 epoch, got %d", x.churnEpochs)},
 		{x.kvTenants < 1, fmt.Sprintf("-kv-tenants wants at least 1 tenant, got %d", x.kvTenants)},
-		{x.kvRate <= 0, fmt.Sprintf("-kv-rate wants a positive op rate, got %g", x.kvRate)},
+		{!(x.kvRate > 0) || math.IsInf(x.kvRate, 1), fmt.Sprintf("-kv-rate wants a finite positive op rate, got %g", x.kvRate)},
 	} {
 		if c.bad {
 			return errors.New(c.msg)

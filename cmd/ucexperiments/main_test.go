@@ -113,6 +113,10 @@ func TestRejects(t *testing.T) {
 		// Values that would otherwise run a default silently.
 		{"-exp kv -quick -kv-tenants 0", "-kv-tenants"},
 		{"-exp kv -quick -kv-rate -5", "-kv-rate"},
+		{"-exp kv -quick -kv-rate NaN", "-kv-rate"},
+		{"-exp kv -quick -kv-rate Inf", "-kv-rate"},
+		{"-exp kv -quick -kv-skews NaN", "-kv-skews"},
+		{"-exp kv -quick -kv-skews 0,-Inf", "-kv-skews"},
 		{"-exp churn -quick -churn-epochs 0", "-churn-epochs"},
 		{"-exp fleet -quick -fleet-tenants 0", "-fleet-tenants"},
 		{"-exp fleet -quick -fleet-aggressors -1", "-fleet-aggressors"},

@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -229,9 +230,15 @@ func ParseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// Floats parses a comma-separated list of numbers.
+// Floats parses a comma-separated list of finite numbers.
 func Floats(s string) ([]float64, error) {
-	return ParseList(s, func(item string) (float64, error) { return strconv.ParseFloat(item, 64) })
+	return ParseList(s, func(item string) (float64, error) {
+		v, err := strconv.ParseFloat(item, 64)
+		if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			err = fmt.Errorf("%q is not a finite number", item)
+		}
+		return v, err
+	})
 }
 
 // ReadTrace reads a trace file in the named format ("text" or "msr") and

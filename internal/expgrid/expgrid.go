@@ -398,7 +398,7 @@ func (s Sweep) Validate() error {
 			}
 		}
 		for _, th := range s.KVSkews {
-			if th < 0 || th >= 1 {
+			if !(th >= 0 && th < 1) {
 				return fmt.Errorf("expgrid: kv sweep skew %v outside [0, 1)", th)
 			}
 		}

@@ -3,6 +3,7 @@ package expgrid
 import (
 	"bytes"
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
@@ -153,6 +154,7 @@ func TestKVMixValidation(t *testing.T) {
 		"no skews":       func(s *Sweep) { s.KVSkews = nil },
 		"skew too big":   func(s *Sweep) { s.KVSkews = []float64{1} },
 		"skew negative":  func(s *Sweep) { s.KVSkews = []float64{-0.1} },
+		"skew NaN":       func(s *Sweep) { s.KVSkews = []float64{math.NaN()} },
 		"no value sizes": func(s *Sweep) { s.KVValueSizes = nil },
 		"bad value size": func(s *Sweep) { s.KVValueSizes = []int64{0} },
 	} {

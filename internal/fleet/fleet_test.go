@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -333,5 +334,19 @@ func TestFleetCellNaming(t *testing.T) {
 	}
 	if !reflect.DeepEqual(refs[0], refs[refs0]) {
 		t.Fatalf("identical placements did not share cells: %v vs %v", refs[0], refs[refs0])
+	}
+}
+
+// TestFleetDemandValidateRates checks a demand's rate must be finite and
+// positive: NaN passes every <= 0 test.
+func TestFleetDemandValidateRates(t *testing.T) {
+	for _, rate := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		d := Demand{Name: "t", RatePerSec: rate, BlockSize: 4096}
+		if err := d.Validate(); err == nil {
+			t.Errorf("rate %v accepted", rate)
+		}
+	}
+	if err := (Demand{Name: "t", RatePerSec: 0.5, BlockSize: 4096}).Validate(); err != nil {
+		t.Errorf("rate 0.5 rejected: %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"essdsim/internal/sim"
@@ -61,8 +62,8 @@ func (d Demand) Validate() error {
 	switch {
 	case d.Name == "":
 		return fmt.Errorf("fleet: demand has no name")
-	case d.RatePerSec <= 0:
-		return fmt.Errorf("fleet: demand %s rate %v not positive", d.Name, d.RatePerSec)
+	case !(d.RatePerSec > 0) || math.IsInf(d.RatePerSec, 1):
+		return fmt.Errorf("fleet: demand %s rate %v not finite and positive", d.Name, d.RatePerSec)
 	case d.BlockSize <= 0:
 		return fmt.Errorf("fleet: demand %s block size %d not positive", d.Name, d.BlockSize)
 	case d.WriteRatioPct < -1 || d.WriteRatioPct > 100:

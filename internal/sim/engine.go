@@ -234,6 +234,30 @@ func (e *Engine) AtCall(t Time, fn func(any), arg any) {
 	e.push(event{at: t, seq: e.seq, cfn: fn, arg: arg})
 }
 
+// Reserve sets aside n consecutive sequence numbers and returns the first.
+// A generator that would schedule n events up front can instead reserve
+// their numbers at that point and schedule event i later with AtSeq on
+// number first+i: each event keeps the (time, sequence) key, and hence
+// the execution position, that the up-front loop would have given it.
+func (e *Engine) Reserve(n uint64) uint64 {
+	first := e.seq + 1
+	e.seq += n
+	return first
+}
+
+// AtSeq runs fn(arg) at absolute simulated time t under a sequence number
+// obtained from Reserve. Times in the past are clamped to the current
+// time. The event always goes to the heap: the ready ring's FIFO order
+// matches sequence order only for numbers drawn when they are appended,
+// while next() merges the heap root with the ring head by sequence.
+func (e *Engine) AtSeq(t Time, seq uint64, fn func(any), arg any) {
+	if t < e.now {
+		t = e.now
+	}
+	e.live++
+	e.push(event{at: t, seq: seq, cfn: fn, arg: arg})
+}
+
 // push inserts ev into the 4-ary heap.
 func (e *Engine) push(ev event) {
 	h := append(e.heap, ev)

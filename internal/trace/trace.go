@@ -10,8 +10,10 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -144,34 +146,26 @@ type ReplayResult struct {
 }
 
 // Replay issues the records against the device at their recorded times
-// (open-loop) and waits for all completions.
+// (open-loop) and waits for all completions. Records need not be sorted:
+// they issue in (max(At, 0), index) order, a negative At meaning the
+// replay's start.
 func Replay(dev blockdev.Device, recs []Record) *ReplayResult {
 	eng := dev.Engine()
-	res := &ReplayResult{Device: dev.Name(), Lat: stats.NewHistogram()}
-	start := eng.Now()
-	outstanding := 0
-	for _, rec := range recs {
-		rec := rec
-		eng.At(start.Add(rec.At), func() {
-			outstanding++
-			if outstanding > res.MaxOutstanding {
-				res.MaxOutstanding = outstanding
-			}
-			dev.Submit(&blockdev.Request{
-				Op:     rec.Op,
-				Offset: rec.Offset,
-				Size:   rec.Size,
-				OnComplete: func(r *blockdev.Request, at sim.Time) {
-					res.Lat.Record(r.Latency(at))
-					res.Ops++
-					res.Bytes += r.Size
-					outstanding--
-				},
-			})
-		})
+	rp := &replayer{
+		dev:   dev,
+		eng:   eng,
+		recs:  issueOrder(recs),
+		res:   &ReplayResult{Device: dev.Name(), Lat: stats.NewHistogram()},
+		start: eng.Now(),
+	}
+	if len(recs) > 0 {
+		rp.base = eng.Reserve(uint64(len(recs)))
+		rp.fire = rp.issue
+		rp.next()
 	}
 	eng.Run()
-	res.Elapsed = eng.Now().Sub(start)
+	res := rp.res
+	res.Elapsed = eng.Now().Sub(rp.start)
 	if len(recs) > 0 {
 		res.Nominal = recs[len(recs)-1].At
 	}
@@ -180,6 +174,64 @@ func Replay(dev blockdev.Device, recs []Record) *ReplayResult {
 		res.Stretch = float64(res.Elapsed) / float64(res.Nominal)
 	}
 	return res
+}
+
+// replayer keeps exactly one record pending: record i of the issue order
+// runs on sequence number base+i, reserved when the replay starts, so
+// every event keeps the (time, sequence) key that scheduling all records
+// up front would have given it.
+type replayer struct {
+	dev         blockdev.Device
+	eng         *sim.Engine
+	recs        []Record // in issue order
+	res         *ReplayResult
+	start       sim.Time
+	outstanding int
+	base        uint64 // sequence number of recs[0]
+	i           int    // index of the pending record
+	fire        func(any)
+}
+
+// issueOrder returns recs in the order an up-front schedule of all of them
+// runs: by max(At, 0), since the engine clamps past times to now, then by
+// index. Sorted input, such as Read and ParseMSR return, is not copied.
+func issueOrder(recs []Record) []Record {
+	byClampedAt := func(a, b Record) int { return cmp.Compare(max(a.At, 0), max(b.At, 0)) }
+	if slices.IsSortedFunc(recs, byClampedAt) {
+		return recs
+	}
+	sorted := slices.Clone(recs)
+	slices.SortStableFunc(sorted, byClampedAt)
+	return sorted
+}
+
+// next schedules the pending record on its reserved sequence number.
+func (rp *replayer) next() {
+	at := rp.start.Add(rp.recs[rp.i].At)
+	rp.eng.AtSeq(at, rp.base+uint64(rp.i), rp.fire, nil)
+}
+
+// issue submits the pending record, then schedules the next.
+func (rp *replayer) issue(any) {
+	rec := &rp.recs[rp.i]
+	rp.outstanding++
+	if rp.outstanding > rp.res.MaxOutstanding {
+		rp.res.MaxOutstanding = rp.outstanding
+	}
+	rp.dev.Submit(&blockdev.Request{
+		Op:     rec.Op,
+		Offset: rec.Offset,
+		Size:   rec.Size,
+		OnComplete: func(r *blockdev.Request, at sim.Time) {
+			rp.res.Lat.Record(r.Latency(at))
+			rp.res.Ops++
+			rp.res.Bytes += r.Size
+			rp.outstanding--
+		},
+	})
+	if rp.i++; rp.i < len(rp.recs) {
+		rp.next()
+	}
 }
 
 // Recorder wraps a device and captures every submitted request, for

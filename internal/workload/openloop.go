@@ -98,8 +98,8 @@ func (s OpenSpec) Validate(dev blockdev.Device) error {
 	switch {
 	case s.BlockSize <= 0 || s.BlockSize%bs != 0:
 		return fmt.Errorf("workload: block size %d not a multiple of device block %d", s.BlockSize, bs)
-	case s.RatePerSec <= 0:
-		return fmt.Errorf("workload: rate must be positive")
+	case !(s.RatePerSec > 0) || math.IsInf(s.RatePerSec, 1):
+		return fmt.Errorf("workload: rate %v must be finite and positive", s.RatePerSec)
 	case s.Count == 0:
 		return fmt.Errorf("workload: count must be positive")
 	case s.Pattern == Mixed && (s.WriteRatio < 0 || s.WriteRatio > 1):
@@ -152,17 +152,91 @@ func RunOpen(dev blockdev.Device, spec OpenSpec) *OpenResult {
 	return finish()
 }
 
+// ArrivalSource yields the issue times of an open-loop arrival process,
+// one arrival at a time, as offsets from the generator's start: Uniform
+// spaces arrivals 1/rate apart, Poisson draws each exponential gap from
+// the generator's own RNG, and Bursty issues each second's worth of
+// arrivals at the start of the second. A generator calls Next once per
+// arrival and makes that arrival's own draws after it, so its RNG sees,
+// per arrival, the Poisson gap (every arrival but the first) and then the
+// generator's draws.
+type ArrivalSource struct {
+	shape     Arrival
+	gap       sim.Duration
+	perSecond uint64
+	at        sim.Duration
+	i         uint64 // arrivals drawn so far
+}
+
+// NewArrivalSource returns the source of an arrival process of the given
+// shape at ratePerSec arrivals per second.
+func NewArrivalSource(shape Arrival, ratePerSec float64) ArrivalSource {
+	perSecond := int(ratePerSec)
+	if perSecond < 1 {
+		perSecond = 1
+	}
+	return ArrivalSource{
+		shape:     shape,
+		gap:       sim.Duration(float64(sim.Second) / ratePerSec),
+		perSecond: uint64(perSecond),
+	}
+}
+
+// Next returns the offset of the next arrival from the generator's start.
+func (s *ArrivalSource) Next(rng *sim.RNG) sim.Duration {
+	switch s.shape {
+	case Uniform:
+		s.at = sim.Duration(s.i) * s.gap
+	case Poisson:
+		if s.i > 0 {
+			s.at += sim.Duration(-math.Log(1-rng.Float64()) * float64(s.gap))
+		}
+	case Bursty:
+		s.at = sim.Duration(s.i/s.perSecond) * sim.Second
+	}
+	s.i++
+	return s.at
+}
+
+// openGen is one open-loop generator. It keeps exactly one arrival
+// pending: arrival i runs on sequence number base+i, reserved when the
+// generator starts, so it holds the (time, sequence) key that scheduling
+// the whole timetable up front would have given it, and the engine runs
+// every event in the same order. Draws come from the generator's private
+// RNG in a fixed order per arrival (Poisson gap, op, offset), so the op
+// sequence is a pure function of the spec, however other tenants' events
+// interleave and whenever in host time a draw is made.
+type openGen struct {
+	dev  blockdev.Device
+	eng  *sim.Engine
+	spec OpenSpec
+	rng  *sim.RNG
+	src  ArrivalSource
+	res  *OpenResult
+
+	region, slots, seqOff int64
+	start, lastDone       sim.Time
+	outstanding           int
+
+	base uint64 // sequence number of arrival 0
+	i    uint64 // index of the pending arrival
+	// The pending arrival's issue time, op and offset.
+	at   sim.Time
+	op   blockdev.Op
+	off  int64
+	fire func(any) // arrive, bound once
+}
+
 // startOpen validates the spec (panicking on harness programming errors)
-// and schedules every arrival on the device's engine, returning a
-// finalizer that closes the measurement once the caller has drained the
-// engine. RunTenants uses the split to schedule several open-loop
-// generators on one shared engine before a single run drains them all.
+// and schedules the first arrival on the device's engine; each arrival
+// schedules the next when it fires. It returns a finalizer that closes the
+// measurement once the caller has drained the engine. RunTenants uses the
+// split to start several open-loop generators on one shared engine before
+// a single run drains them all.
 func startOpen(dev blockdev.Device, spec OpenSpec) func() *OpenResult {
 	if err := spec.Validate(dev); err != nil {
 		panic(err)
 	}
-	eng := dev.Engine()
-	rng := sim.NewRNG(spec.Seed^0x09e4, spec.Seed+0x11)
 	if spec.SampleInterval <= 0 {
 		spec.SampleInterval = 10 * sim.Millisecond
 	}
@@ -170,90 +244,87 @@ func startOpen(dev blockdev.Device, spec OpenSpec) func() *OpenResult {
 	if spec.WindowPercentiles {
 		newLatSeries = stats.NewLatencySeriesHist
 	}
-	res := &OpenResult{
-		Spec: spec, Device: dev.Name(), Lat: stats.NewHistogram(),
-		Series:    stats.NewThroughputSeries(spec.SampleInterval),
-		LatSeries: newLatSeries(spec.SampleInterval),
+	eng := dev.Engine()
+	g := &openGen{
+		dev: dev, eng: eng, spec: spec,
+		rng: sim.NewRNG(spec.Seed^0x09e4, spec.Seed+0x11),
+		src: NewArrivalSource(spec.Arrival, spec.RatePerSec),
+		res: &OpenResult{
+			Spec: spec, Device: dev.Name(), Lat: stats.NewHistogram(),
+			Series:    stats.NewThroughputSeries(spec.SampleInterval),
+			LatSeries: newLatSeries(spec.SampleInterval),
+		},
+		region: spec.Region,
+		start:  eng.Now(),
 	}
-	region := spec.Region
-	if region == 0 {
-		region = dev.Capacity()
+	if g.region == 0 {
+		g.region = dev.Capacity()
 	}
-	slots := region / spec.BlockSize
-	start := eng.Now()
-	gap := sim.Duration(float64(sim.Second) / spec.RatePerSec)
-	perSecond := int(spec.RatePerSec)
-	if perSecond < 1 {
-		perSecond = 1
-	}
-
-	outstanding := 0
-	lastDone := start
-	var seqOff int64
-	var at sim.Duration
-	for i := uint64(0); i < spec.Count; i++ {
-		switch spec.Arrival {
-		case Uniform:
-			at = sim.Duration(i) * gap
-		case Poisson:
-			if i > 0 {
-				at += sim.Duration(-math.Log(1-rng.Float64()) * float64(gap))
-			}
-		case Bursty:
-			at = sim.Duration(i/uint64(perSecond)) * sim.Second
-		}
-		op := blockdev.Read
-		switch spec.Pattern {
-		case RandWrite, SeqWrite:
-			op = blockdev.Write
-		case Mixed:
-			if rng.Float64() < spec.WriteRatio {
-				op = blockdev.Write
-			}
-		}
-		var off int64
-		switch spec.Pattern {
-		case SeqWrite, SeqRead:
-			off = seqOff
-			seqOff += spec.BlockSize
-			if seqOff+spec.BlockSize > region {
-				seqOff = 0
-			}
-		default:
-			if spec.Hotspot != nil {
-				off = spec.Hotspot.Next(rng) % slots * spec.BlockSize
-			} else {
-				off = rng.Int64N(slots) * spec.BlockSize
-			}
-		}
-		issueAt := start.Add(at)
-		opC, offC := op, off // per-iteration copies for the closure
-		eng.At(issueAt, func() {
-			outstanding++
-			if outstanding > res.MaxOutstanding {
-				res.MaxOutstanding = outstanding
-			}
-			dev.Submit(&blockdev.Request{
-				Op: opC, Offset: offC, Size: spec.BlockSize,
-				OnComplete: func(r *blockdev.Request, done sim.Time) {
-					outstanding--
-					lastDone = done
-					lat := done.Sub(issueAt)
-					rel := sim.Time(done.Sub(start))
-					res.Lat.Record(lat)
-					res.Series.Add(rel, r.Size)
-					res.LatSeries.Add(rel, lat)
-					res.Ops++
-					res.Bytes += r.Size
-				},
-			})
-		})
-	}
+	g.slots = g.region / spec.BlockSize
+	g.lastDone = g.start
+	g.base = eng.Reserve(spec.Count)
+	g.fire = g.arrive
+	g.next()
 	// Elapsed measures to this workload's own last completion, not the
 	// engine clock: on a shared engine another tenant may keep the clock
 	// running after this generator drained.
 	return func() *OpenResult {
-		res.Elapsed = lastDone.Sub(start)
-		return res
+		g.res.Elapsed = g.lastDone.Sub(g.start)
+		return g.res
+	}
+}
+
+// next draws arrival g.i and schedules it on its reserved sequence number.
+func (g *openGen) next() {
+	g.at = g.start.Add(g.src.Next(g.rng))
+	g.op = blockdev.Read
+	switch g.spec.Pattern {
+	case RandWrite, SeqWrite:
+		g.op = blockdev.Write
+	case Mixed:
+		if g.rng.Float64() < g.spec.WriteRatio {
+			g.op = blockdev.Write
+		}
+	}
+	switch g.spec.Pattern {
+	case SeqWrite, SeqRead:
+		g.off = g.seqOff
+		g.seqOff += g.spec.BlockSize
+		if g.seqOff+g.spec.BlockSize > g.region {
+			g.seqOff = 0
+		}
+	default:
+		if g.spec.Hotspot != nil {
+			g.off = g.spec.Hotspot.Next(g.rng) % g.slots * g.spec.BlockSize
+		} else {
+			g.off = g.rng.Int64N(g.slots) * g.spec.BlockSize
+		}
+	}
+	g.eng.AtSeq(g.at, g.base+g.i, g.fire, nil)
+}
+
+// arrive submits the pending arrival, then draws and schedules the next.
+func (g *openGen) arrive(any) {
+	g.outstanding++
+	if g.outstanding > g.res.MaxOutstanding {
+		g.res.MaxOutstanding = g.outstanding
+	}
+	issueAt := g.at
+	g.dev.Submit(&blockdev.Request{
+		Op: g.op, Offset: g.off, Size: g.spec.BlockSize,
+		OnComplete: func(r *blockdev.Request, done sim.Time) {
+			g.outstanding--
+			g.lastDone = done
+			lat := done.Sub(issueAt)
+			rel := sim.Time(done.Sub(g.start))
+			g.res.Lat.Record(lat)
+			g.res.Series.Add(rel, r.Size)
+			g.res.LatSeries.Add(rel, lat)
+			g.res.Ops++
+			g.res.Bytes += r.Size
+		},
+	})
+	if g.i++; g.i < g.spec.Count {
+		g.next()
 	}
 }

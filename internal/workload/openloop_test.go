@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"essdsim/internal/blockdev"
@@ -20,6 +21,10 @@ func TestOpenSpecValidate(t *testing.T) {
 		{BlockSize: 2 << 30, RatePerSec: 10, Count: 1}, // block > capacity
 		{Pattern: Mixed, WriteRatio: 1.5, BlockSize: 4096, RatePerSec: 10, Count: 1},
 		{Pattern: Mixed, WriteRatio: -0.1, BlockSize: 4096, RatePerSec: 10, Count: 1},
+		// NaN passes every <= 0 test; +Inf would issue every arrival at t = 0.
+		{BlockSize: 4096, RatePerSec: math.NaN(), Count: 1},
+		{BlockSize: 4096, RatePerSec: math.Inf(1), Count: 1},
+		{BlockSize: 4096, RatePerSec: math.Inf(-1), Count: 1},
 	}
 	for i, s := range bad {
 		if err := s.Validate(d); err == nil {
@@ -230,5 +235,15 @@ func TestZipfDegenerateN(t *testing.T) {
 func TestArrivalString(t *testing.T) {
 	if Uniform.String() != "uniform" || Poisson.String() != "poisson" || Bursty.String() != "bursty" {
 		t.Fatal("arrival names")
+	}
+}
+
+// TestZipfUniformThetaZetaExact checks the θ = 0 shortcut: zetan is n,
+// exactly the sum of n ones the general path computes.
+func TestZipfUniformThetaZetaExact(t *testing.T) {
+	for _, n := range []int64{1, 2, 3, 1000, 1 << 18, 1<<22 + 5} {
+		if got, want := NewZipf(n, 0).zetan, zeta(n, 0); got != want {
+			t.Errorf("n=%d: zetan %v, summed %v", n, got, want)
+		}
 	}
 }

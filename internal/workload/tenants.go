@@ -67,9 +67,11 @@ func RunTenants(eng *sim.Engine, tenants []Tenant) []*TenantResult {
 			panic(fmt.Errorf("workload: tenant %d (%s) must set exactly one of Open/Closed", i, t.Name))
 		}
 	}
-	// Start every generator before running the engine: open-loop tenants
-	// schedule their full arrival timetable, closed-loop tenants submit
-	// their initial queue-depth window, all at the current virtual time.
+	// Start every generator before running the engine, all at the current
+	// virtual time: open-loop tenants reserve a sequence number for every
+	// arrival and schedule the first (each arrival draws the next from the
+	// tenant's private RNG when it fires), closed-loop tenants submit
+	// their initial queue-depth window.
 	finishers := make([]func() *TenantResult, len(tenants))
 	for i, t := range tenants {
 		i, t := i, t

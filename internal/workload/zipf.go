@@ -33,7 +33,13 @@ func NewZipf(n int64, theta float64) *Zipf {
 		theta = 0.999
 	}
 	z := &Zipf{n: n, theta: theta}
-	z.zetan = zeta(n, theta)
+	if theta == 0 {
+		// zeta(n, 0) adds up to exactly n for any n below 2^53, one term
+		// at a time; uniform draws never read it anyway.
+		z.zetan = float64(n)
+	} else {
+		z.zetan = zeta(n, theta)
+	}
 	z.alpha = 1 / (1 - theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta(2, theta)/z.zetan)
 	z.half = 1 + math.Pow(0.5, theta)

@@ -45,9 +45,9 @@ func (s MixSpec) Validate() error {
 		return fmt.Errorf("kv: mix value size %d not positive", s.ValueSize)
 	case s.ReadFrac < 0 || s.ReadFrac > 1:
 		return fmt.Errorf("kv: mix read fraction %v out of [0, 1]", s.ReadFrac)
-	case s.RatePerSec <= 0:
-		return fmt.Errorf("kv: mix rate must be positive")
-	case s.ZipfTheta < 0 || s.ZipfTheta >= 1:
+	case !(s.RatePerSec > 0) || math.IsInf(s.RatePerSec, 1):
+		return fmt.Errorf("kv: mix rate %v must be finite and positive", s.RatePerSec)
+	case !(s.ZipfTheta >= 0 && s.ZipfTheta < 1):
 		return fmt.Errorf("kv: mix zipf theta %v outside [0, 1)", s.ZipfTheta)
 	}
 	return nil
@@ -102,31 +102,47 @@ func (r *MixResult) OpsPerSec() float64 {
 	return float64(r.Ops) / secs
 }
 
-// mixState drives one tenant's arrival schedule. All randomness is drawn
-// at schedule time (before the engine runs), so a tenant's op sequence is
-// a pure function of its spec — independent of how other tenants' events
-// interleave on the shared engine.
+// mixState is one tenant's lazy arrival generator. It keeps exactly one
+// arrival pending: arrival i runs on sequence number base+i, reserved when
+// the tenant starts, so every event keeps the (time, sequence) key that
+// scheduling the whole timetable up front would have given it. Draws come
+// from the tenant's private RNG in a fixed order per arrival (Poisson gap,
+// key, get/put), so a tenant's op sequence is a pure function of its spec,
+// independent of how other tenants' events interleave on the shared engine.
 type mixState struct {
+	eng         *sim.Engine
+	kv          Engine
+	spec        MixSpec
+	rng         *sim.RNG
+	zipf        *workload.Zipf
+	src         workload.ArrivalSource
 	res         *MixResult
 	start       sim.Time
 	lastDone    sim.Time
 	outstanding int
+
+	base uint64 // sequence number of arrival 0
+	i    uint64 // index of the pending arrival
+	// The pending arrival's issue time, key and kind.
+	at    sim.Time
+	key   uint64
+	isGet bool
+	fire  func(any) // arrive, bound once
 }
 
-// startMix validates the spec (panicking on harness programming errors)
-// and schedules every arrival on the engine, returning a finalizer that
-// closes the measurement once the caller has drained the engine.
-func startMix(eng *sim.Engine, t MixTenant) func() *MixResult {
+// startMix schedules the first arrival of a validated tenant on the
+// engine, drawing keys from zipf; each arrival schedules the next when it
+// fires. It returns a finalizer that closes the measurement once the
+// caller has drained the engine.
+func startMix(eng *sim.Engine, t MixTenant, zipf *workload.Zipf) func() *MixResult {
 	spec := t.Spec
-	if err := spec.Validate(); err != nil {
-		panic(err)
-	}
-	if spec.KeySpace == 0 {
-		spec.KeySpace = 1 << 20
-	}
-	rng := sim.NewRNG(spec.Seed^0x6b1d, spec.Seed+0x29)
-	zipf := workload.NewZipf(int64(spec.KeySpace), spec.ZipfTheta)
 	st := &mixState{
+		eng:  eng,
+		kv:   t.Engine,
+		spec: spec,
+		rng:  sim.NewRNG(spec.Seed^0x6b1d, spec.Seed+0x29),
+		zipf: zipf,
+		src:  workload.NewArrivalSource(spec.Arrival, spec.RatePerSec),
 		res: &MixResult{
 			Name:   t.Name,
 			Engine: t.Engine.Name(),
@@ -136,48 +152,9 @@ func startMix(eng *sim.Engine, t MixTenant) func() *MixResult {
 		start: eng.Now(),
 	}
 	st.lastDone = st.start
-	gap := sim.Duration(float64(sim.Second) / spec.RatePerSec)
-	perSecond := int(spec.RatePerSec)
-	if perSecond < 1 {
-		perSecond = 1
-	}
-	var at sim.Duration
-	for i := uint64(0); i < spec.Ops; i++ {
-		switch spec.Arrival {
-		case workload.Uniform:
-			at = sim.Duration(i) * gap
-		case workload.Poisson:
-			if i > 0 {
-				at += sim.Duration(-math.Log(1-rng.Float64()) * float64(gap))
-			}
-		case workload.Bursty:
-			at = sim.Duration(i/uint64(perSecond)) * sim.Second
-		}
-		key := uint64(zipf.Next(rng))
-		isGet := rng.Float64() < spec.ReadFrac
-		issueAt := st.start.Add(at)
-		eng.At(issueAt, func() {
-			st.outstanding++
-			if st.outstanding > st.res.MaxOutstanding {
-				st.res.MaxOutstanding = st.outstanding
-			}
-			done := func() {
-				st.outstanding--
-				now := eng.Now()
-				st.lastDone = now
-				st.res.Lat.Record(now.Sub(issueAt))
-				st.res.Ops++
-			}
-			if isGet {
-				st.res.Gets++
-				t.Engine.Get(key, done)
-			} else {
-				st.res.Puts++
-				st.res.UserBytes += spec.ValueSize
-				t.Engine.Put(key, spec.ValueSize, done)
-			}
-		})
-	}
+	st.base = eng.Reserve(spec.Ops)
+	st.fire = st.arrive
+	st.next()
 	return func() *MixResult {
 		st.res.Elapsed = st.lastDone.Sub(st.start)
 		st.res.Stats = t.Engine.Stats()
@@ -185,12 +162,54 @@ func startMix(eng *sim.Engine, t MixTenant) func() *MixResult {
 	}
 }
 
+// next draws arrival st.i and schedules it on its reserved sequence number.
+func (st *mixState) next() {
+	st.at = st.start.Add(st.src.Next(st.rng))
+	st.key = uint64(st.zipf.Next(st.rng))
+	st.isGet = st.rng.Float64() < st.spec.ReadFrac
+	st.eng.AtSeq(st.at, st.base+st.i, st.fire, nil)
+}
+
+// arrive issues the pending arrival, then draws and schedules the next.
+func (st *mixState) arrive(any) {
+	st.outstanding++
+	if st.outstanding > st.res.MaxOutstanding {
+		st.res.MaxOutstanding = st.outstanding
+	}
+	issueAt := st.at
+	done := func() {
+		st.outstanding--
+		now := st.eng.Now()
+		st.lastDone = now
+		st.res.Lat.Record(now.Sub(issueAt))
+		st.res.Ops++
+	}
+	if st.isGet {
+		st.res.Gets++
+		st.kv.Get(st.key, done)
+	} else {
+		st.res.Puts++
+		st.res.UserBytes += st.spec.ValueSize
+		st.kv.Put(st.key, st.spec.ValueSize, done)
+	}
+	if st.i++; st.i < st.spec.Ops {
+		st.next()
+	}
+}
+
+// zipfKey identifies the Zipf table a tenant draws its keys from.
+type zipfKey struct {
+	n     uint64
+	theta float64
+}
+
 // RunMix drives several KV tenants' arrival schedules concurrently inside
-// one simulation engine: every tenant's timetable is scheduled, then a
-// single engine run drains all of them (plus a per-engine Barrier for
-// background flushes and compactions), so tenant I/O interleaves
-// event-for-event the way concurrent guests on a shared backend would.
-// Results are returned in tenant order.
+// one simulation engine: every tenant is started, then a single engine run
+// drains all of them (plus a per-engine Barrier for background flushes and
+// compactions), so tenant I/O interleaves event-for-event the way
+// concurrent guests on a shared backend would. Tenants with the same key
+// space and skew share one read-only Zipf table. Results are returned in
+// tenant order.
 //
 // It panics on invalid input (no tenants, a tenant without an engine, a
 // device on a different simulation engine, or an invalid spec) — the same
@@ -208,10 +227,23 @@ func RunMix(eng *sim.Engine, tenants []MixTenant) []*MixResult {
 		case t.Engine.Device().Engine() != eng:
 			panic(fmt.Errorf("kv: tenant %d (%s) device %q is not on the shared engine", i, t.Name, t.Engine.Device().Name()))
 		}
+		if err := t.Spec.Validate(); err != nil {
+			panic(err)
+		}
 	}
+	zipfs := make(map[zipfKey]*workload.Zipf, 1)
 	finishers := make([]func() *MixResult, len(tenants))
 	for i, t := range tenants {
-		finishers[i] = startMix(eng, t)
+		k := zipfKey{t.Spec.KeySpace, t.Spec.ZipfTheta}
+		if k.n == 0 {
+			k.n = 1 << 20
+		}
+		z := zipfs[k]
+		if z == nil {
+			z = workload.NewZipf(int64(k.n), k.theta)
+			zipfs[k] = z
+		}
+		finishers[i] = startMix(eng, t, z)
 	}
 	eng.Run()
 	// Drain background work (flushes/compactions) before reading stats:

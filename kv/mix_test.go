@@ -2,6 +2,7 @@ package kv
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -52,6 +53,10 @@ func TestMixSpecValidate(t *testing.T) {
 		{"zero rate", func(s *MixSpec) { s.RatePerSec = 0 }},
 		{"theta too big", func(s *MixSpec) { s.ZipfTheta = 1 }},
 		{"theta negative", func(s *MixSpec) { s.ZipfTheta = -0.5 }},
+		{"rate NaN", func(s *MixSpec) { s.RatePerSec = math.NaN() }},
+		{"rate +Inf", func(s *MixSpec) { s.RatePerSec = math.Inf(1) }},
+		{"theta NaN", func(s *MixSpec) { s.ZipfTheta = math.NaN() }},
+		{"theta +Inf", func(s *MixSpec) { s.ZipfTheta = math.Inf(1) }},
 	}
 	for _, c := range cases {
 		s := good
