@@ -1,8 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (§III), one benchmark per artifact, plus ablation benches for the design
-// choices DESIGN.md calls out. Custom metrics report the paper-facing
-// quantities (latency gaps, knees, gains, spreads); ns/op measures the
-// simulator's wall-clock cost of regenerating the artifact.
+// (§III), one benchmark per artifact, plus ablation benches that each vary
+// one device-model lever behind an observation. Custom metrics report the
+// paper-facing quantities (latency gaps, knees, gains, spreads); ns/op
+// measures the simulator's wall-clock cost of regenerating the artifact.
 //
 // Every benchmark reports the same two perf-trajectory metrics on top of
 // its paper-facing ones: cells/sec (simulation cells — grid points, sweep
@@ -25,8 +25,10 @@ import (
 	"essdsim/internal/blockdev"
 	"essdsim/internal/contract"
 	"essdsim/internal/essd"
+	"essdsim/internal/fleet"
 	"essdsim/internal/harness"
 	"essdsim/internal/profiles"
+	"essdsim/internal/scenario"
 	"essdsim/internal/sim"
 	"essdsim/internal/ssd"
 	"essdsim/internal/workload"
@@ -199,7 +201,7 @@ func BenchmarkContract(b *testing.B) {
 	b.ReportMetric(pass, "passed")
 }
 
-// --- Ablation benches (DESIGN.md §6) ---
+// --- Ablation benches: one device-model lever each ---
 
 // BenchmarkAblationChunkSize varies the placement chunk size, the
 // Observation #3 lever: larger chunks keep a sequential window on one
@@ -412,7 +414,7 @@ func BenchmarkKVIngest(b *testing.B) {
 // expgrid pool, the regime `-exp kv` runs. ops/sec is wall-clock user
 // operations simulated per second across all cells.
 func BenchmarkKVMix(b *testing.B) {
-	sweep := essdsim.KVMixSweep{
+	sweep := scenario.KVMixSweep{
 		Engines:      []string{"lsm", "pagestore"},
 		Skews:        []float64{0, 0.99},
 		Tenants:      3,
@@ -422,7 +424,7 @@ func BenchmarkKVMix(b *testing.B) {
 	b.ReportAllocs()
 	var ops uint64
 	for i := 0; i < b.N; i++ {
-		rep, err := essdsim.RunKVMix(context.Background(), sweep)
+		rep, err := scenario.RunKVMix(context.Background(), sweep)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -662,7 +664,7 @@ func BenchmarkNeighborIsolation(b *testing.B) {
 // Run: go test -bench=FleetPack -benchtime=1x
 func BenchmarkFleetPack(b *testing.B) {
 	spec := essdsim.FleetSpec{
-		Demands:  essdsim.SyntheticFleetDemands(8, 2),
+		Demands:  fleet.SyntheticDemands(8, 2),
 		Backends: 2,
 		SLOP999:  5 * essdsim.Millisecond,
 		Seed:     7,
@@ -670,7 +672,7 @@ func BenchmarkFleetPack(b *testing.B) {
 	b.ReportAllocs()
 	cells, gap := 0, 0
 	for i := 0; i < b.N; i++ {
-		rep, err := essdsim.RunFleet(context.Background(), spec)
+		rep, err := fleet.Run(context.Background(), spec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -693,7 +695,7 @@ func BenchmarkFleetPack(b *testing.B) {
 func BenchmarkChurnEpochs(b *testing.B) {
 	spec := essdsim.ChurnSpec{
 		Fleet: essdsim.FleetSpec{
-			Demands:  essdsim.SyntheticFleetDemands(6, 1),
+			Demands:  fleet.SyntheticDemands(6, 1),
 			Backends: 2,
 			SLOP999:  5 * essdsim.Millisecond,
 			Horizon:  500 * essdsim.Millisecond,
@@ -730,13 +732,13 @@ func BenchmarkChurnEpochs(b *testing.B) {
 func BenchmarkSweepCacheOverhead(b *testing.B) {
 	b.ReportAllocs()
 	spec := essdsim.FleetSpec{
-		Demands:  essdsim.SyntheticFleetDemands(8, 2),
+		Demands:  fleet.SyntheticDemands(8, 2),
 		Backends: 2,
 		SLOP999:  5 * essdsim.Millisecond,
 		Seed:     7,
 	}
 	runBare := func() int {
-		rep, err := essdsim.RunFleet(context.Background(), spec)
+		rep, err := fleet.Run(context.Background(), spec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -745,7 +747,7 @@ func BenchmarkSweepCacheOverhead(b *testing.B) {
 	runCached := func() {
 		cold := spec
 		cold.Cache = essdsim.NewSweepCache(0)
-		if _, err := essdsim.RunFleet(context.Background(), cold); err != nil {
+		if _, err := fleet.Run(context.Background(), cold); err != nil {
 			b.Fatal(err)
 		}
 		if err := cold.Cache.Save(io.Discard); err != nil {
@@ -832,9 +834,9 @@ func BenchmarkDeviceIO(b *testing.B) {
 // Run: go test -bench=FleetScreen -benchtime=1x
 func BenchmarkFleetScreen(b *testing.B) {
 	b.ReportAllocs()
-	spec := essdsim.FleetScreenSpec{
+	spec := fleet.ScreenSpec{
 		Spec: essdsim.FleetSpec{
-			Demands:  essdsim.SyntheticFleetDemands(8, 2),
+			Demands:  fleet.SyntheticDemands(8, 2),
 			Backends: 2,
 			SLOP999:  5 * essdsim.Millisecond,
 			Seed:     7,
@@ -843,7 +845,7 @@ func BenchmarkFleetScreen(b *testing.B) {
 	}
 	cells, leverage := 0, 0.0
 	for i := 0; i < b.N; i++ {
-		rep, err := essdsim.RunFleetScreen(context.Background(), spec)
+		rep, err := fleet.Screen(context.Background(), spec)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,8 +1,10 @@
 package essdsim_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -53,4 +55,61 @@ func packageDoc(t *testing.T, dir string) string {
 		}
 	}
 	return best
+}
+
+// TestFacadeExportsHaveCallers keeps the root facade sized to what the
+// repository demonstrates and checks: every exported function in
+// essdsim.go needs an essdsim.<Name> reference in a command under cmd/,
+// a program under examples/, or a root test or Example. Benchmarks check
+// no output, so bench_test.go does not count as a caller.
+func TestFacadeExportsHaveCallers(t *testing.T) {
+	files, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, root := range []string{"cmd", "examples"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+				files = append(files, path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	fset := token.NewFileSet()
+	called := map[string]bool{}
+	for _, path := range files {
+		if path == "bench_test.go" {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "essdsim" {
+					called[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	facade, err := parser.ParseFile(fset, "essdsim.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var uncalled []string
+	for _, decl := range facade.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if ok && fn.Recv == nil && fn.Name.IsExported() && !called[fn.Name.Name] {
+			uncalled = append(uncalled, fn.Name.Name)
+		}
+	}
+	if len(uncalled) > 0 {
+		t.Errorf("%d exported functions of essdsim.go have no caller in cmd/, examples/ or a root test (bench_test.go does not count); call each from a checked example or test, or delete it: %s",
+			len(uncalled), strings.Join(uncalled, ", "))
+	}
 }

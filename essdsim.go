@@ -5,14 +5,12 @@
 // The library provides:
 //
 //   - calibrated simulated devices: two cloud ESSDs (AWS io2 class and
-//     Alibaba PL3 class) and a local NVMe SSD (Samsung 970 Pro class),
-//     all behind one block-device interface;
-//   - a fio-style workload engine with latency histograms and throughput
-//     timelines measured in deterministic virtual time;
-//   - experiment harnesses that regenerate every table and figure of the
-//     paper;
-//   - a contract checker that verdicts the paper's four observations on
-//     any device and prints the five implications;
+//     Alibaba PL3 class), budget and burstable elastic tiers, and a local
+//     NVMe SSD (Samsung 970 Pro class), all behind one block-device
+//     interface (NewDevice, ProfileNames);
+//   - a fio-style workload engine — closed-loop (Run), open-loop (RunOpen)
+//     and trace replay (ReplayTrace) — with latency histograms and
+//     throughput timelines measured in deterministic virtual time;
 //   - declarative experiment grids (Sweep) executed on a parallel worker
 //     pool with deterministic per-cell seeding, plus a sweep-level result
 //     cache (SweepCache) that memoizes cells across sweeps and persists to
@@ -27,19 +25,22 @@
 //     generators inside one engine, and the noisy-neighbor scenario suite
 //     (RunNeighborScenario) measuring victim tail inflation and
 //     shared-debt throttle onset;
-//   - fleet-scale tenant packing (RunFleet): a catalog of tenant demands
-//     (synthetic or fitted from real traces) placed onto many shared
-//     backends by pluggable placement policies — first-fit, spread,
-//     best-fit, interference-aware — with per-policy SLO-violation,
-//     utilization, and worst-victim-inflation comparisons;
 //   - pluggable per-tenant QoS isolation (Isolation, docs/isolation.md):
 //     every contention point of the shared backend — cluster streams,
 //     pooled cleaner debt, fabric links — schedules per-flow under fifo
 //     (the byte-identical default), weighted fair queueing, or
-//     work-conserving reservations, with per-volume Weight/ReservedRate,
-//     the policy-comparison suite (RunIsolationComparison), and the
-//     isolation × placement fleet study (RunFleetIsolationStudy); and
-//   - CSV/JSON exports of every suite for plotting (docs/formats.md).
+//     work-conserving reservations, with per-volume Weight/ReservedRate
+//     (NewDeviceQoS, NeighborSweep.Isolation);
+//   - the fleet churn control plane (RunChurn): volume lifecycle events
+//     over a tenant catalog packed onto shared backends, with pluggable
+//     rebalancers, measured epoch by epoch; and
+//   - deterministic sampled request tracing and state probes
+//     (InstrumentDevice, docs/observability.md).
+//
+// The paper's tables and figures, the contract checker, the fleet-packing,
+// isolation and KV tenant-mix studies, and the CSV/JSON exports of every
+// suite are driven from the commands under cmd/ (README.md). The package
+// examples pin the library side of Implications #1, #3, #4 and #5.
 //
 // Quick start:
 //
@@ -62,7 +63,6 @@ import (
 
 	"essdsim/internal/blockdev"
 	"essdsim/internal/churn"
-	"essdsim/internal/contract"
 	"essdsim/internal/essd"
 	"essdsim/internal/expgrid"
 	"essdsim/internal/fio"
@@ -78,7 +78,6 @@ import (
 	"essdsim/internal/stats"
 	"essdsim/internal/trace"
 	"essdsim/internal/workload"
-	"essdsim/kv"
 )
 
 // Core simulation types.
@@ -121,8 +120,6 @@ type (
 	WorkloadResult = workload.Result
 	// Pattern is a fio-style access pattern.
 	Pattern = workload.Pattern
-	// Histogram is an HDR-style latency histogram.
-	Histogram = stats.Histogram
 	// LatencySummary is a histogram snapshot (avg, p50, p99, p99.9, max).
 	LatencySummary = stats.Summary
 )
@@ -154,8 +151,8 @@ func NewLocalSSD(eng *Engine, seed uint64) *ssd.SSD {
 	return profiles.NewSSD(eng, sim.NewRNG(seed, seed^0x3))
 }
 
-// NewDevice builds a device by profile name: "essd1", "essd2", "ssd",
-// "gp3", or "pl1".
+// NewDevice builds a device by profile name; ProfileNames lists the
+// valid names.
 func NewDevice(name string, eng *Engine, seed uint64) (Device, error) {
 	return profiles.ByName(name, eng, sim.NewRNG(seed, seed^0x4))
 }
@@ -174,8 +171,6 @@ type (
 	VolumeConfig = essd.VolumeConfig
 	// Volume is an ESSD volume attached to a (possibly shared) backend.
 	Volume = essd.ESSD
-	// BackendVolumeStats is one volume's attributed use of its backend.
-	BackendVolumeStats = essd.VolumeStats
 )
 
 // NewBackend builds a shared storage backend on the engine. Attach volumes
@@ -235,10 +230,6 @@ func RunOpen(dev Device, spec OpenWorkload) *OpenWorkloadResult {
 	return workload.RunOpen(dev, spec)
 }
 
-// ParseArrival converts an arrival-shape name ("uniform", "poisson",
-// "bursty") into an Arrival.
-func ParseArrival(s string) (Arrival, error) { return workload.ParseArrival(s) }
-
 // Tenant-mix types: several generators driving distinct volumes inside one
 // engine — the multi-tenant regime where volumes sharing a Backend
 // interfere.
@@ -261,7 +252,7 @@ func RunTenantMix(eng *Engine, tenants []Tenant) []*TenantResult {
 
 // Precondition prepares a device for measurement: write experiments get a
 // GC-free half-filled device; read experiments a fully written one.
-func Precondition(dev Device, forWrites bool) { harness.Precondition(dev, forWrites) }
+func Precondition(dev Device, forWrites bool) { expgrid.Precondition(dev, forWrites) }
 
 // ParseFioJobs parses a fio job file subset into named workloads.
 func ParseFioJobs(r io.Reader) ([]fio.Job, error) { return fio.Parse(r) }
@@ -277,19 +268,6 @@ type (
 // ReadTrace parses a text trace.
 func ReadTrace(r io.Reader) ([]TraceRecord, error) { return trace.Read(r) }
 
-// ReadTraceFormat parses a trace in the named format: "text" (native) or
-// "msr" (MSR-Cambridge CSV) — the single dispatch behind every CLI trace
-// flag.
-func ReadTraceFormat(r io.Reader, format string) ([]TraceRecord, error) {
-	return trace.ReadFormat(r, format)
-}
-
-// FitTrace maps a foreign trace onto a device geometry: offsets aligned
-// and wrapped modulo capacity, sizes rounded to whole blocks and clamped.
-func FitTrace(recs []TraceRecord, capacity, blockSize int64) []TraceRecord {
-	return trace.Fit(recs, capacity, blockSize)
-}
-
 // WriteTrace serializes a text trace.
 func WriteTrace(w io.Writer, recs []TraceRecord) error { return trace.Write(w, recs) }
 
@@ -297,16 +275,6 @@ func WriteTrace(w io.Writer, recs []TraceRecord) error { return trace.Write(w, r
 func ReplayTrace(dev Device, recs []TraceRecord) *TraceReplayResult {
 	return trace.Replay(dev, recs)
 }
-
-// Experiment harness types.
-type (
-	// ExperimentOptions tune harness durations and seeding.
-	ExperimentOptions = harness.Options
-	// SustainedResult is a Figure 3 measurement.
-	SustainedResult = harness.SustainedResult
-	// DeviceFactory constructs a fresh device for one experiment cell.
-	DeviceFactory = harness.Factory
-)
 
 // Experiment-grid types: declarative parameter sweeps executed on a
 // parallel worker pool with deterministic per-cell seeding and output
@@ -368,14 +336,6 @@ func RunSweep(ctx context.Context, sw Sweep, workers int) ([]SweepCellResult, er
 	return expgrid.Runner{Workers: workers}.Run(ctx, sw)
 }
 
-// RunSustainedWrites performs the paper's Figure 3 sustained-write
-// experiment (random 128 KiB writes of capMultiple × capacity onto fresh
-// devices) for several devices concurrently, returning results in the
-// devices' order.
-func RunSustainedWrites(devices []NamedFactory, capMultiple float64, opts ExperimentOptions) []*SustainedResult {
-	return harness.RunSustainedWrites(devices, capMultiple, opts)
-}
-
 // Burst-credit scenario types: the Observation #4 / Implication #4 suite
 // sweeping burstable tiers across write ratio × arrival shape × offered
 // rate on the expgrid worker pool.
@@ -384,9 +344,6 @@ type (
 	BurstSweep = scenario.BurstSweep
 	// BurstReport is the suite's full measurement.
 	BurstReport = scenario.BurstReport
-	// BurstCell is one measured point: credit-exhaustion time, throttle
-	// and budget-stall state, and the pre/post-exhaustion latency cliff.
-	BurstCell = scenario.BurstCell
 )
 
 // RunBurstScenario executes a burst-credit scenario sweep; zero-valued
@@ -401,20 +358,6 @@ func RunBurstScenario(ctx context.Context, s BurstSweep) (*BurstReport, error) {
 // FormatBurstReport writes the scenario report as an aligned table.
 func FormatBurstReport(w io.Writer, r *BurstReport) { scenario.FormatBurst(w, r) }
 
-// WriteBurstCSV dumps the scenario report as one CSV row per cell; see
-// docs/formats.md for the schema.
-func WriteBurstCSV(w io.Writer, r *BurstReport) error { return scenario.WriteBurstCSV(w, r) }
-
-// WriteBurstTimelineCSV dumps every cell's per-interval completion
-// timeline as CSV; see docs/formats.md for the schema.
-func WriteBurstTimelineCSV(w io.Writer, r *BurstReport) error {
-	return scenario.WriteBurstTimelineCSV(w, r)
-}
-
-// BurstTierDevices returns the default burstable device axis for a
-// BurstSweep or an open-loop Sweep.
-func BurstTierDevices() []NamedFactory { return scenario.BurstTierDevices() }
-
 // Noisy-neighbor scenario types: a steady victim tenant vs bursty
 // aggressor tenants on one shared Backend, swept over aggressor count ×
 // rate × write ratio.
@@ -423,10 +366,6 @@ type (
 	NeighborSweep = scenario.NeighborSweep
 	// NeighborReport is the suite's full measurement.
 	NeighborReport = scenario.NeighborReport
-	// NeighborCell is one measured point: victim tail latency, its
-	// inflation over the solo-victim control, and shared-debt throttle
-	// onset.
-	NeighborCell = scenario.NeighborCell
 )
 
 // RunNeighborScenario executes a noisy-neighbor sweep; zero-valued
@@ -441,10 +380,6 @@ func RunNeighborScenario(ctx context.Context, s NeighborSweep) (*NeighborReport,
 // FormatNeighborReport writes the scenario report as an aligned table.
 func FormatNeighborReport(w io.Writer, r *NeighborReport) { scenario.FormatNeighbor(w, r) }
 
-// WriteNeighborCSV dumps the scenario report as one CSV row per cell; see
-// docs/formats.md for the schema.
-func WriteNeighborCSV(w io.Writer, r *NeighborReport) error { return scenario.WriteNeighborCSV(w, r) }
-
 // Per-tenant QoS isolation types: every contention point of the shared
 // backend (cluster streams, cleaner debt pool, fabric links) dispatches
 // through a pluggable scheduling policy, with per-volume weights and
@@ -456,62 +391,14 @@ type (
 	// IsolationPolicy names a scheduling discipline: fifo, wfq, or
 	// reservation.
 	IsolationPolicy = qos.IsolationPolicy
-	// IsolationComparison sweeps a neighbor scenario across isolation
-	// policies on identical arrival streams.
-	IsolationComparison = scenario.IsolationComparison
-	// IsolationScenarioReport compares victim tails per policy.
-	IsolationScenarioReport = scenario.IsolationReport
-	// IsolationScenarioVariant is one policy's neighbor outcome.
-	IsolationScenarioVariant = scenario.IsolationVariant
-	// FleetIsolationStudySpec crosses a fleet study with isolation
-	// configurations.
-	FleetIsolationStudySpec = fleet.IsolationStudySpec
-	// FleetIsolationStudyReport holds per-variant fleet outcomes.
-	FleetIsolationStudyReport = fleet.IsolationStudyReport
 )
 
-// Isolation policy names accepted by ParseIsolationPolicy.
+// Isolation scheduling policies.
 const (
 	IsolationFIFO        = qos.IsolationFIFO
 	IsolationWFQ         = qos.IsolationWFQ
 	IsolationReservation = qos.IsolationReservation
 )
-
-// ParseIsolationPolicy maps a policy name to its IsolationPolicy,
-// rejecting unknown names with a descriptive error.
-func ParseIsolationPolicy(s string) (IsolationPolicy, error) {
-	return qos.ParseIsolationPolicy(s)
-}
-
-// RunIsolationComparison runs the neighbor sweep once per isolation
-// policy on identical arrival streams and reports victim-tail inflation
-// per policy. Deterministic for any worker count; each policy caches
-// separately under NeighborSweep.Cache.
-func RunIsolationComparison(ctx context.Context, c IsolationComparison) (*IsolationScenarioReport, error) {
-	return scenario.RunIsolationComparison(ctx, c)
-}
-
-// FormatIsolationReport writes the per-policy comparison table.
-func FormatIsolationReport(w io.Writer, r *IsolationScenarioReport) { scenario.FormatIsolation(w, r) }
-
-// WriteIsolationCSV dumps the comparison as one CSV row per (policy,
-// cell); see docs/formats.md for the schema.
-func WriteIsolationCSV(w io.Writer, r *IsolationScenarioReport) error {
-	return scenario.WriteIsolationCSV(w, r)
-}
-
-// RunFleetIsolationStudy runs a fleet study once per isolation
-// configuration, measuring how many SLO violations each placement policy
-// sheds when the backend scheduler isolates tenants.
-func RunFleetIsolationStudy(ctx context.Context, ss FleetIsolationStudySpec) (*FleetIsolationStudyReport, error) {
-	return fleet.RunIsolationStudy(ctx, ss)
-}
-
-// FormatFleetIsolationStudy writes the isolation × placement trade-off
-// matrix.
-func FormatFleetIsolationStudy(w io.Writer, r *FleetIsolationStudyReport) {
-	fleet.FormatIsolationStudy(w, r)
-}
 
 // NewDeviceQoS builds a device by profile name with a backend isolation
 // policy and per-volume QoS share applied. With the zero Isolation and no
@@ -542,91 +429,15 @@ func ProfileDevicesQoS(iso Isolation, weight, reservedBps float64, names ...stri
 	return devices
 }
 
-// Fleet tenant-packing types: a catalog of tenant demands placed onto
-// many shared backends by pluggable placement policies, each placement
-// materialized as independent Backend simulations on the sweep worker
-// pool and compared policy-vs-policy.
+// Fleet types: a catalog of tenant demands placed onto many shared
+// backends, the population a churn study evolves.
 type (
-	// FleetSpec declares a fleet packing study: demands, templates,
-	// budgets, policies, and the SLO targets.
+	// FleetSpec declares a fleet: demands, templates, budgets, policies,
+	// and the SLO targets.
 	FleetSpec = fleet.Spec
 	// FleetDemand describes one tenant volume to place.
 	FleetDemand = fleet.Demand
-	// FleetReport is the study outcome: one policy report per compared
-	// policy over the identical catalog, plus shared solo controls.
-	FleetReport = fleet.Report
-	// FleetPolicyReport is one placement policy's complete outcome.
-	FleetPolicyReport = fleet.PolicyReport
-	// PlacementPolicy assigns tenant demands to backends.
-	PlacementPolicy = fleet.PlacementPolicy
-	// PlacementConstraints carries the per-backend packing budgets a
-	// policy places against.
-	PlacementConstraints = fleet.Constraints
-	// FleetScreenSpec configures the two-fidelity screen: an analytic
-	// candidate budget on top of a FleetSpec, with a cap on how many
-	// Pareto-frontier placements are fully simulated.
-	FleetScreenSpec = fleet.ScreenSpec
-	// FleetScreenReport is the screen outcome: every scored candidate
-	// summarized, the Pareto frontier, and the simulated frontier report.
-	FleetScreenReport = fleet.ScreenReport
 )
-
-// RunFleet executes a fleet tenant-packing study: every policy places the
-// identical demand catalog, each placement materializes as independent
-// shared-backend simulations (plus one solo control per distinct demand
-// shape), and all cells run in parallel on one sweep worker pool. Results
-// are deterministic for any worker count; with FleetSpec.Cache a warm
-// re-run simulates zero new cells.
-func RunFleet(ctx context.Context, s FleetSpec) (*FleetReport, error) {
-	return fleet.Run(ctx, s)
-}
-
-// DefaultPlacementPolicies returns the built-in policies in fixed order:
-// first-fit, spread, best-fit, interference-aware.
-func DefaultPlacementPolicies() []PlacementPolicy { return fleet.DefaultPolicies() }
-
-// PlacementPolicyByName returns the built-in policy with the given name
-// ("first-fit", "spread", "best-fit", "interference").
-func PlacementPolicyByName(name string) (PlacementPolicy, error) {
-	return fleet.PolicyByName(name)
-}
-
-// SyntheticFleetDemands builds a deterministic tenant catalog: aggressors
-// bursty write floods spread evenly through steady mixed victims.
-func SyntheticFleetDemands(total, aggressors int) []FleetDemand {
-	return fleet.SyntheticDemands(total, aggressors)
-}
-
-// FleetDemandFromTrace converts a real trace into a placeable tenant
-// demand: records fitted onto the volume geometry, then profiled into an
-// open-loop rate, write mix, and request size.
-func FleetDemandFromTrace(name string, recs []TraceRecord, capacity, blockSize int64) (FleetDemand, error) {
-	return fleet.DemandFromTrace(name, recs, capacity, blockSize)
-}
-
-// RunFleetScreen executes the two-fidelity screening study: thousands of
-// candidate placements (policy bases at every packing density plus seeded
-// perturbations) are scored with the closed-form credit analytics, and
-// only the Pareto frontier on (backends used, predicted violation score)
-// is materialized as full simulations. Deterministic for a fixed spec.
-func RunFleetScreen(ctx context.Context, s FleetScreenSpec) (*FleetScreenReport, error) {
-	return fleet.Screen(ctx, s)
-}
-
-// FormatFleetScreenReport writes the screen summary, the frontier, and the
-// simulated truth for each materialized frontier placement.
-func FormatFleetScreenReport(w io.Writer, r *FleetScreenReport) { fleet.FormatScreen(w, r) }
-
-// FormatFleetReport writes the policy-vs-policy comparison tables.
-func FormatFleetReport(w io.Writer, r *FleetReport) { fleet.Format(w, r) }
-
-// WriteFleetCSV dumps the per-backend fleet table (one row per policy ×
-// materialized backend) as CSV; see docs/formats.md for the schema.
-func WriteFleetCSV(w io.Writer, r *FleetReport) error { return fleet.WriteBackendsCSV(w, r) }
-
-// WriteFleetTenantsCSV dumps the per-tenant fleet table (one row per
-// policy × tenant) as CSV; see docs/formats.md for the schema.
-func WriteFleetTenantsCSV(w io.Writer, r *FleetReport) error { return fleet.WriteTenantsCSV(w, r) }
 
 // Fleet churn control-plane types: volume lifecycle events over a demand
 // catalog, online placement, and pluggable rebalancing, measured epoch by
@@ -640,13 +451,9 @@ type (
 	ChurnEventKind = churn.EventKind
 	// ChurnEvent is one scripted lifecycle event.
 	ChurnEvent = churn.Event
-	// ChurnEventRecord is one applied event in the report's audit trail.
-	ChurnEventRecord = churn.EventRecord
 	// ChurnReport is the study outcome: the per-epoch time series, the
 	// event audit trail, and fleet-level totals.
 	ChurnReport = churn.Report
-	// ChurnEpochReport is one control epoch's measured outcome.
-	ChurnEpochReport = churn.EpochReport
 	// Rebalancer plans volume migrations between control epochs.
 	Rebalancer = churn.Rebalancer
 	// NeverMove is the do-nothing rebalancer: the baseline that accepts
@@ -681,32 +488,8 @@ func RunChurn(ctx context.Context, s ChurnSpec) (*ChurnReport, error) {
 	return churn.Run(ctx, s)
 }
 
-// DefaultRebalancers returns the built-in rebalancing policies in
-// comparison order: never-move, threshold-triggered, background drain.
-func DefaultRebalancers() []Rebalancer { return churn.Rebalancers() }
-
-// RebalancerByName returns the built-in rebalancer with the given name
-// ("never", "threshold", "drain").
-func RebalancerByName(name string) (Rebalancer, error) { return churn.RebalancerByName(name) }
-
 // FormatChurnReport writes the per-epoch churn table with totals.
 func FormatChurnReport(w io.Writer, r *ChurnReport) { churn.Format(w, r) }
-
-// WriteChurnEpochsCSV dumps the per-epoch churn time series
-// (fleet_churn_epochs.csv) as CSV; see docs/formats.md for the schema.
-func WriteChurnEpochsCSV(w io.Writer, r *ChurnReport) error { return churn.WriteEpochsCSV(w, r) }
-
-// WriteChurnEventsCSV dumps the lifecycle-event audit trail
-// (fleet_churn_events.csv) as CSV; see docs/formats.md for the schema.
-func WriteChurnEventsCSV(w io.Writer, r *ChurnReport) error { return churn.WriteEventsCSV(w, r) }
-
-// TraceProfile summarizes a trace's offered load (rate, write mix, mean
-// request size) — the bridge from replayable records to the synthetic
-// generator parameters the tenant-mix and fleet suites take.
-type TraceProfile = trace.Profile
-
-// ProfileTrace derives the offered-load profile of a record stream.
-func ProfileTrace(recs []TraceRecord) TraceProfile { return trace.ProfileOf(recs) }
 
 // Sweep-result caching: a SweepCache memoizes cell results across sweeps
 // and searches, keyed by the cell's coordinate hash plus a fingerprint of
@@ -730,15 +513,13 @@ type (
 	// SLOReport is a completed search with both SLO-max rates and every
 	// probe.
 	SLOReport = slo.Report
-	// SLOProbe is one evaluated rate of a search.
-	SLOProbe = slo.Probe
 )
 
 // SearchSLO runs a latency-SLO search. Probes repeat coordinates, so
 // attach a SweepCache to skip re-simulation; a cache-warm repeat run
 // executes zero new cells and reproduces identical measurements and CSV
-// output (only the SLOProbe.Cached / SLOReport.CellsRun bookkeeping
-// records the difference).
+// output (only the probes' Cached flags and SLOReport.CellsRun record the
+// difference).
 func SearchSLO(ctx context.Context, s SLOSearch) (*SLOReport, error) {
 	return slo.Run(ctx, s)
 }
@@ -746,74 +527,15 @@ func SearchSLO(ctx context.Context, s SLOSearch) (*SLOReport, error) {
 // FormatSLOReport writes a human-readable search report.
 func FormatSLOReport(w io.Writer, r *SLOReport) { slo.Format(w, r) }
 
-// WriteSLOProbesCSV dumps the search's probes as CSV; see docs/formats.md
-// for the schema.
-func WriteSLOProbesCSV(w io.Writer, r *SLOReport) error { return slo.WriteProbesCSV(w, r) }
-
-// Contract checker types.
-type (
-	// ContractReport is a full contract evaluation.
-	ContractReport = contract.Report
-	// ContractCheck is the verdict on one observation.
-	ContractCheck = contract.Check
-	// ContractOptions configure a contract evaluation.
-	ContractOptions = contract.EvalOptions
-)
-
-// CheckContract runs the paper's four observation checks of the unwritten
-// contract for an ESSD factory against a local-SSD baseline factory.
-func CheckContract(essdFactory, ssdFactory DeviceFactory, opts ContractOptions) *ContractReport {
-	return contract.Evaluate(essdFactory, ssdFactory, opts)
-}
-
-// FormatContract writes a human-readable contract report.
-func FormatContract(w io.Writer, r *ContractReport) { contract.Format(w, r) }
-
-// FormatAdvice writes the paper's five implications annotated by the
-// report's outcomes.
-func FormatAdvice(w io.Writer, r *ContractReport) { contract.FormatAdvice(w, r) }
-
 // FormatWorkloadResult prints a fio-like summary of a run.
 func FormatWorkloadResult(w io.Writer, r *WorkloadResult) {
 	harness.FormatWorkloadResult(w, r)
 }
 
-// KVDemand converts a measured KV tenant profile (kv.ProfileOf of a
-// kv.RunMix result) into a placeable fleet demand (the engine-translated
-// device load, not the user op rate).
-func KVDemand(name string, p kv.MixProfile, blockSize int64) (FleetDemand, error) {
-	return fleet.DemandFromKV(name, p, blockSize)
-}
-
-// KV tenant-mix suite types: the engine × skew × value-size × tier sweep
-// over shared backends (internal/scenario.KVMixSweep).
-type (
-	// KVMixSweep declares the suite's axes and per-tenant shape.
-	KVMixSweep = scenario.KVMixSweep
-	// KVMixReport is the folded suite measurement.
-	KVMixReport = scenario.KVMixReport
-	// KVMixCell is one measured cell of the suite.
-	KVMixCell = scenario.KVMixCell
-)
-
-// RunKVMix executes the KV tenant-mix suite on the expgrid worker pool.
-// Results are deterministic for any worker count; attach a SweepCache and
-// a repeat run executes zero new cells.
-func RunKVMix(ctx context.Context, s KVMixSweep) (*KVMixReport, error) {
-	return scenario.RunKVMix(ctx, s)
-}
-
-// FormatKVMix writes a human-readable KV tenant-mix report.
-func FormatKVMix(w io.Writer, r *KVMixReport) { scenario.FormatKVMix(w, r) }
-
-// WriteKVMixCSV dumps the suite's per-cell table (kv_cells.csv) as CSV;
-// see docs/formats.md for the schema.
-func WriteKVMixCSV(w io.Writer, r *KVMixReport) error { return scenario.WriteKVCSV(w, r) }
-
 // Observability types (internal/obs): deterministic sampled request
-// tracing, simulated-time state probes, and the cliff-attribution report.
-// Both planes are off by default and, when on, never perturb simulation
-// results — traced runs are byte-identical to untraced ones.
+// tracing and simulated-time state probes. Both planes are off by default
+// and, when on, never perturb simulation results — traced runs are
+// byte-identical to untraced ones.
 type (
 	// ObsConfig enables the observability planes: SampleEvery traces every
 	// Nth request per volume, and a positive ProbeInterval samples state
@@ -822,23 +544,19 @@ type (
 	// ObsCapture is one simulation's observability output: a label plus
 	// its tracer and (optional) prober.
 	ObsCapture = obs.Capture
-	// ObsTracer records sampled per-request spans.
-	ObsTracer = obs.Tracer
-	// ObsProber samples registered state gauges on a cadence.
-	ObsProber = obs.Prober
-	// ObsSpan is one recorded stage of a traced request.
-	ObsSpan = obs.Span
-	// ObsExplanation is one cell's cliff-attribution report.
-	ObsExplanation = obs.Explanation
 )
 
 // InstrumentDevice attaches an observability capture to a single elastic
 // device: a tracer sampling every cfg.SampleEvery-th request and, when
 // cfg.ProbeInterval is positive, a prober over the device's shared
 // backend (cluster debt and node queues, fabric backlogs, every attached
-// volume's gauges). Non-elastic devices (the local SSD) have no backend
-// or QoS state to observe and are rejected.
+// volume's gauges). A nil cfg is fully off and returns a nil capture,
+// which the exporters skip. Non-elastic devices (the local SSD) have no
+// backend or QoS state to observe and are rejected.
 func InstrumentDevice(dev Device, label string, cfg *ObsConfig) (*ObsCapture, error) {
+	if cfg == nil {
+		return nil, nil
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -856,10 +574,6 @@ func InstrumentDevice(dev Device, label string, cfg *ObsConfig) (*ObsCapture, er
 	return cap, nil
 }
 
-// WriteTraceCSV dumps the captures' sampled request spans as CSV; see
-// docs/formats.md for the schema.
-func WriteTraceCSV(w io.Writer, caps []*ObsCapture) error { return obs.WriteTraceCSV(w, caps) }
-
 // WriteTraceEvents dumps the captures' spans as Chrome trace-event JSON,
 // loadable in Perfetto or chrome://tracing.
 func WriteTraceEvents(w io.Writer, caps []*ObsCapture) error { return obs.WriteTraceEvents(w, caps) }
@@ -867,9 +581,3 @@ func WriteTraceEvents(w io.Writer, caps []*ObsCapture) error { return obs.WriteT
 // WriteProbesCSV dumps the captures' state-probe series as CSV; see
 // docs/formats.md for the schema.
 func WriteProbesCSV(w io.Writer, caps []*ObsCapture) error { return obs.WriteProbesCSV(w, caps) }
-
-// WriteProbesJSON dumps the captures' state-probe series as JSON.
-func WriteProbesJSON(w io.Writer, caps []*ObsCapture) error { return obs.WriteProbesJSON(w, caps) }
-
-// FormatExplanations writes the per-cell cliff-attribution report.
-func FormatExplanations(w io.Writer, exps []*ObsExplanation) { obs.FormatExplanations(w, exps) }

@@ -150,7 +150,7 @@ func TestPublicObservation1EndToEnd(t *testing.T) {
 
 // TestPublicSweepAPI declares a small grid through the public Sweep façade
 // and checks parallel execution yields deterministic, correctly ordered
-// results — the way examples/patternadvisor and essdbench's sweep mode
+// results — the way ExampleRunSweep and essdbench's sweep mode
 // consume it.
 func TestPublicSweepAPI(t *testing.T) {
 	sweep := essdsim.Sweep{
@@ -247,5 +247,23 @@ func TestPublicOpenLoopAndBurst(t *testing.T) {
 	essdsim.FormatBurstReport(&buf, rep)
 	if !strings.Contains(buf.String(), "gp2s") {
 		t.Errorf("report missing device name:\n%s", buf.String())
+	}
+}
+
+// TestInstrumentDeviceNilConfig pins ObsConfig's contract that a nil
+// config is fully off: no capture and no error, and the exporters skip
+// the nil capture.
+func TestInstrumentDeviceNilConfig(t *testing.T) {
+	dev := essdsim.NewESSD1(essdsim.NewEngine(), 1)
+	capture, err := essdsim.InstrumentDevice(dev, "off", nil)
+	if capture != nil || err != nil {
+		t.Fatalf("nil config: capture %v, err %v; want neither", capture, err)
+	}
+	var buf bytes.Buffer
+	if err := essdsim.WriteProbesCSV(&buf, []*essdsim.ObsCapture{capture}); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != "cell,t_s,probe,value\n" {
+		t.Errorf("probe CSV of a nil capture = %q, want the header only", buf.String())
 	}
 }

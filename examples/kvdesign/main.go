@@ -20,6 +20,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"essdsim"
 	"essdsim/kv"
@@ -35,11 +37,10 @@ const (
 	keySpace = 100_000
 )
 
-func device(name string, aged bool) (*essdsim.Engine, essdsim.Device) {
-	eng := essdsim.NewEngine()
-	dev, err := essdsim.NewDevice(name, eng, 31)
+func device(name string, aged bool) (essdsim.Device, error) {
+	dev, err := essdsim.NewDevice(name, essdsim.NewEngine(), 31)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
 	if aged {
 		// Fill completely with a randomized layout, then churn random
@@ -55,25 +56,36 @@ func device(name string, aged bool) (*essdsim.Engine, essdsim.Device) {
 	} else {
 		essdsim.Precondition(dev, true)
 	}
-	return eng, dev
+	return dev, nil
 }
 
-func run(name string, aged bool, lsm bool) kv.IngestResult {
-	eng, dev := device(name, aged)
+func ingest(name string, aged bool, lsm bool) (kv.IngestResult, error) {
+	dev, err := device(name, aged)
+	if err != nil {
+		return kv.IngestResult{}, err
+	}
 	var engine kv.Engine
 	if lsm {
 		engine = kv.NewLSM(dev, kv.DefaultLSMConfig())
 	} else {
 		engine = kv.NewPageStore(dev, kv.DefaultPageStoreConfig(dev))
 	}
-	return kv.Ingest(eng, engine, puts, valueSize, clients, keySpace, 13)
+	return kv.Ingest(dev.Engine(), engine, puts, valueSize, clients, keySpace, 13), nil
 }
 
 func main() {
-	fmt.Println("KV write-path design study: update-in-place vs log-structured")
-	fmt.Printf("%d puts of %d B, %d client streams, real kv engines.\n\n",
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "kvdesign:", err)
+		os.Exit(1)
+	}
+}
+
+// run prints the design study's table and its reading to stdout.
+func run(stdout io.Writer) error {
+	fmt.Fprintln(stdout, "KV write-path design study: update-in-place vs log-structured")
+	fmt.Fprintf(stdout, "%d puts of %d B, %d client streams, real kv engines.\n\n",
 		puts, valueSize, clients)
-	fmt.Printf("%-22s %-16s %-20s %-10s %s\n",
+	fmt.Fprintf(stdout, "%-22s %-16s %-20s %-10s %s\n",
 		"device", "in-place Kops/s", "log-structured Kops/s", "LSM WA", "winner")
 	rows := []struct {
 		name string
@@ -86,22 +98,30 @@ func main() {
 		{"essd2", false, "ESSD-2 (PL3)"},
 	}
 	for _, row := range rows {
-		ip := run(row.name, row.aged, false)
-		ls := run(row.name, row.aged, true)
+		ip, err := ingest(row.name, row.aged, false)
+		if err != nil {
+			return err
+		}
+		ls, err := ingest(row.name, row.aged, true)
+		if err != nil {
+			return err
+		}
 		winner := "log-structured"
 		if ip.PutsPerSec() > ls.PutsPerSec() {
 			winner = "in-place"
 		}
-		fmt.Printf("%-22s %-16.0f %-20.0f %-10.1f %s\n",
+		fmt.Fprintf(stdout, "%-22s %-16.0f %-20.0f %-10.1f %s\n",
 			row.desc, ip.PutsPerSec()/1e3, ls.PutsPerSec()/1e3,
 			ls.Stats.WriteAmp(), winner)
 	}
-	fmt.Println()
-	fmt.Println("Reading the table: on the aged local SSD the LSM wins by ~7x because")
-	fmt.Println("device GC punishes random page writes — why RocksDB-style designs exist.")
-	fmt.Println("On the ESSDs that punishment is gone (Observation #2/#3); what remains")
-	fmt.Println("of the LSM's lead comes from batching (its memtable ack and 256K")
-	fmt.Println("segments vs one budget-priced 4K I/O per put), not from sequentiality.")
-	fmt.Println("Implication #3: re-derive the design from the volume's budget and")
-	fmt.Println("stream limits — the local-SSD GC argument no longer applies.")
+	fmt.Fprint(stdout, `
+Reading the table: on the aged local SSD the LSM wins by ~7x because
+device GC punishes random page writes — why RocksDB-style designs exist.
+On the ESSDs that punishment is gone (Observation #2/#3); what remains
+of the LSM's lead comes from batching (its memtable ack and 256K
+segments vs one budget-priced 4K I/O per put), not from sequentiality.
+Implication #3: re-derive the design from the volume's budget and
+stream limits — the local-SSD GC argument no longer applies.
+`)
+	return nil
 }

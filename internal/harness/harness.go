@@ -89,14 +89,6 @@ var Fig4QDs = []int{1, 2, 4, 8, 16, 32}
 // Fig5Ratios are the paper's Figure 5 write ratios, in percent.
 var Fig5Ratios = []int{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
 
-// Precondition prepares a device for a measurement cell. Write cells get a
-// half-filled device (a GC-free window, as on a freshly provisioned or
-// trimmed drive); read cells get a fully, sequentially written device (the
-// layout after a fio fill pass).
-func Precondition(dev blockdev.Device, forWrites bool) {
-	expgrid.Precondition(dev, forWrites)
-}
-
 // LatencyCell is one pixel of Figure 2.
 type LatencyCell struct {
 	Pattern    workload.Pattern
@@ -124,12 +116,9 @@ func (g *LatencyGrid) Cell(p workload.Pattern, bs int64, qd int) *LatencyCell {
 	return nil
 }
 
-// RunLatencyGrid measures the Figure 2 grid on fresh devices from factory.
-func RunLatencyGrid(factory Factory, opts Options) *LatencyGrid {
-	return RunLatencyGridWith(factory, Fig2Patterns, Fig2Sizes, Fig2QDs, opts)
-}
-
-// RunLatencyGridWith measures a custom grid.
+// RunLatencyGridWith measures the Figure 2 latency grid over the given
+// axes on fresh devices from factory (the paper's axes are Fig2Patterns,
+// Fig2Sizes and Fig2QDs).
 func RunLatencyGridWith(factory Factory, patterns []workload.Pattern, sizes []int64, qds []int, opts Options) *LatencyGrid {
 	opts = opts.withDefaults()
 	sw := opts.sweep(factory, "fig2")
@@ -303,12 +292,8 @@ func (r *RandSeqResult) MaxGain() (gain float64, at RandSeqCell) {
 	return gain, at
 }
 
-// RunRandSeqSweep performs the Figure 4 experiment on fresh devices.
-func RunRandSeqSweep(factory Factory, opts Options) *RandSeqResult {
-	return RunRandSeqSweepWith(factory, Fig4Sizes, Fig4QDs, opts)
-}
-
-// RunRandSeqSweepWith sweeps custom sizes and queue depths.
+// RunRandSeqSweepWith performs the Figure 4 experiment over the given
+// sizes and queue depths (the paper's are Fig4Sizes and Fig4QDs).
 func RunRandSeqSweepWith(factory Factory, sizes []int64, qds []int, opts Options) *RandSeqResult {
 	opts = opts.withDefaults()
 	sw := opts.sweep(factory, "fig4")
@@ -435,13 +420,9 @@ func RunIOPSSweep(factory Factory, sizes []int64, opts Options) *IOPSResult {
 	return out
 }
 
-// RunMixedSweep performs the Figure 5 experiment: 128 KiB random I/O at
-// QD 32 with the write ratio swept 0..100%.
-func RunMixedSweep(factory Factory, opts Options) *MixedResult {
-	return RunMixedSweepWith(factory, Fig5Ratios, opts)
-}
-
-// RunMixedSweepWith sweeps custom write ratios (percent).
+// RunMixedSweepWith performs the Figure 5 experiment: 128 KiB random I/O
+// at QD 32 over the given write ratios in percent (the paper's are
+// Fig5Ratios).
 func RunMixedSweepWith(factory Factory, ratios []int, opts Options) *MixedResult {
 	opts = opts.withDefaults()
 	// Keep the SSD's cell short enough that random overwrites on a full

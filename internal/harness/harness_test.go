@@ -185,7 +185,7 @@ func TestPreconditionDispatch(t *testing.T) {
 	// ESSD read cells get a full fill (write cells a half fill — covered
 	// by the expgrid regression test).
 	e := essd1Factory(1)
-	Precondition(e, false)
+	expgrid.Precondition(e, false)
 	lat := runOne(e, blockdev.Read, 0, 4096)
 	if lat <= 0 {
 		t.Fatal("read failed")
@@ -195,7 +195,7 @@ func TestPreconditionDispatch(t *testing.T) {
 		blockdev.Device
 		FTLWriteAmp() float64
 	})
-	Precondition(s, true)
+	expgrid.Precondition(s, true)
 }
 
 // TestNegativeWarmupPassesThrough is the regression test for withDefaults
@@ -289,7 +289,7 @@ func TestFormatFig3(t *testing.T) {
 
 func TestFormatWorkloadResult(t *testing.T) {
 	d := essd1Factory(3)
-	Precondition(d, false)
+	expgrid.Precondition(d, false)
 	res := workload.Run(d, workload.Spec{
 		Pattern: workload.Mixed, WriteRatio: 0.5, BlockSize: 8 << 10,
 		QueueDepth: 4, MaxOps: 200, Seed: 9,

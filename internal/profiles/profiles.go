@@ -3,12 +3,12 @@
 // PL3) and the local Samsung 970 Pro class SSD, plus extra tiers used by
 // ablation benchmarks.
 //
-// Simulated capacities are scaled down 64× (see DESIGN.md §3) so page-level
-// FTL state fits in memory and the write-3×-capacity experiment completes
-// quickly; every knee the paper reports is capacity-relative, so the scaling
-// preserves it. Latency constants are calibrated so the simulated devices
-// land near the paper's Figure 2 annotations; the mechanisms producing the
-// trends live in the essd/ssd/cluster/ftl packages, not here.
+// Simulated capacities are scaled down 64× so page-level FTL state fits in
+// memory and the write-3×-capacity experiment completes quickly; every
+// knee the paper reports is capacity-relative, so the scaling preserves
+// it. Latency constants are calibrated so the simulated devices land near
+// the paper's Figure 2 annotations; the mechanisms producing the trends
+// live in the essd/ssd/cluster/ftl packages, not here.
 package profiles
 
 import (
