@@ -208,6 +208,21 @@ func TestZipfSkewOrdering(t *testing.T) {
 	if ranks[0] < 5*ranks[100] || ranks[0] == 0 {
 		t.Fatalf("rank0=%d rank100=%d: skew wrong", ranks[0], ranks[100])
 	}
+	// A draw is rank 0 exactly when u·ζ(n) < 1, so at the kv suite's key
+	// space and hot skew rank 0's share must match 1/ζ(n) within 4σ.
+	const draws = 200000
+	z = NewZipf(1<<18, 0.99)
+	hits := 0
+	for i := 0; i < draws; i++ {
+		if z.nextRank(rng) == 0 {
+			hits++
+		}
+	}
+	p := 1 / zeta(1<<18, 0.99)
+	sigma := math.Sqrt(p * (1 - p) / draws)
+	if share := float64(hits) / draws; math.Abs(share-p) > 4*sigma {
+		t.Fatalf("rank 0 share %.5f, want 1/ζ(n) = %.5f ± %.5f", share, p, 4*sigma)
+	}
 }
 
 func TestZipfUniformTheta(t *testing.T) {
@@ -230,6 +245,13 @@ func TestZipfDegenerateN(t *testing.T) {
 	if z.Next(rng) != 0 {
 		t.Fatal("n=1 zipf must return 0")
 	}
+	// No clamp gives NaN a meaning: unchecked, every draw would be rank 0.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewZipf accepted a NaN theta")
+		}
+	}()
+	NewZipf(1024, math.NaN())
 }
 
 func TestArrivalString(t *testing.T) {

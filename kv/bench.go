@@ -105,7 +105,8 @@ func (st *ingestState) pump() {
 
 // IngestRun drives spec.Puts fixed-size puts through the engine at the
 // given client concurrency, waits for the engine to go idle (Barrier),
-// and returns the measurements.
+// and returns the measurements. It panics on a ZipfTheta outside [0, 1),
+// NaN included.
 func IngestRun(eng *sim.Engine, e Engine, spec IngestSpec) IngestResult {
 	if spec.Concurrency < 1 {
 		spec.Concurrency = 1
@@ -121,10 +122,10 @@ func IngestRun(eng *sim.Engine, e Engine, spec IngestSpec) IngestResult {
 		keySpace:    spec.KeySpace,
 		state:       spec.Seed*0x9e3779b97f4a7c15 + 0x243f6a8885a308d3,
 	}
+	if !(spec.ZipfTheta >= 0 && spec.ZipfTheta < 1) {
+		panic(fmt.Sprintf("kv: zipf theta %v outside [0, 1)", spec.ZipfTheta))
+	}
 	if spec.ZipfTheta != 0 {
-		if spec.ZipfTheta < 0 || spec.ZipfTheta >= 1 {
-			panic(fmt.Sprintf("kv: zipf theta %v outside [0, 1)", spec.ZipfTheta))
-		}
 		st.zipf = workload.NewZipf(int64(spec.KeySpace), spec.ZipfTheta)
 		st.rng = sim.NewRNG(spec.Seed, spec.Seed^0x7)
 	}

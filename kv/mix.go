@@ -131,17 +131,21 @@ type mixState struct {
 }
 
 // startMix schedules the first arrival of a validated tenant on the
-// engine, drawing keys from zipf; each arrival schedules the next when it
-// fires. It returns a finalizer that closes the measurement once the
-// caller has drained the engine.
-func startMix(eng *sim.Engine, t MixTenant, zipf *workload.Zipf) func() *MixResult {
+// engine; each arrival schedules the next when it fires. It returns a
+// finalizer that closes the measurement once the caller has drained the
+// engine.
+func startMix(eng *sim.Engine, t MixTenant) func() *MixResult {
 	spec := t.Spec
+	keySpace := spec.KeySpace
+	if keySpace == 0 {
+		keySpace = 1 << 20
+	}
 	st := &mixState{
 		eng:  eng,
 		kv:   t.Engine,
 		spec: spec,
 		rng:  sim.NewRNG(spec.Seed^0x6b1d, spec.Seed+0x29),
-		zipf: zipf,
+		zipf: workload.NewZipf(int64(keySpace), spec.ZipfTheta),
 		src:  workload.NewArrivalSource(spec.Arrival, spec.RatePerSec),
 		res: &MixResult{
 			Name:   t.Name,
@@ -197,18 +201,11 @@ func (st *mixState) arrive(any) {
 	}
 }
 
-// zipfKey identifies the Zipf table a tenant draws its keys from.
-type zipfKey struct {
-	n     uint64
-	theta float64
-}
-
 // RunMix drives several KV tenants' arrival schedules concurrently inside
 // one simulation engine: every tenant is started, then a single engine run
 // drains all of them (plus a per-engine Barrier for background flushes and
 // compactions), so tenant I/O interleaves event-for-event the way
-// concurrent guests on a shared backend would. Tenants with the same key
-// space and skew share one read-only Zipf table. Results are returned in
+// concurrent guests on a shared backend would. Results are returned in
 // tenant order.
 //
 // It panics on invalid input (no tenants, a tenant without an engine, a
@@ -231,19 +228,9 @@ func RunMix(eng *sim.Engine, tenants []MixTenant) []*MixResult {
 			panic(err)
 		}
 	}
-	zipfs := make(map[zipfKey]*workload.Zipf, 1)
 	finishers := make([]func() *MixResult, len(tenants))
 	for i, t := range tenants {
-		k := zipfKey{t.Spec.KeySpace, t.Spec.ZipfTheta}
-		if k.n == 0 {
-			k.n = 1 << 20
-		}
-		z := zipfs[k]
-		if z == nil {
-			z = workload.NewZipf(int64(k.n), k.theta)
-			zipfs[k] = z
-		}
-		finishers[i] = startMix(eng, t, z)
+		finishers[i] = startMix(eng, t)
 	}
 	eng.Run()
 	// Drain background work (flushes/compactions) before reading stats:
