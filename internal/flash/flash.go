@@ -189,10 +189,3 @@ func (a *Array) EraseBlockColumn(die int, done func()) {
 	a.counters.BlockErases++
 	a.dies[die].Visit(a.cfg.EraseDist.Sample(a.rng), done)
 }
-
-// DieQueueLen returns the number of waiting ops on a die, useful to throttle
-// background work such as prefetch.
-func (a *Array) DieQueueLen(die int) int { return a.dies[die].QueueLen() }
-
-// DieBusyTime returns the accumulated busy time of a die.
-func (a *Array) DieBusyTime(die int) sim.Duration { return a.dies[die].BusyTime() }

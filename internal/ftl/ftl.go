@@ -129,8 +129,15 @@ type FTL struct {
 	reloc       relocation // the victim GC is relocating
 	freeBatches *gcBatch   // recycled relocation batches
 
-	// state owns the pooled storage behind mapping, rmap, bufState and
-	// pending; nil once Release has returned it.
+	// ReadList scratch: the flash pages of one call in first-seen order
+	// (ppns), and one bit per flash page marking those already listed,
+	// clear between calls.
+	readPPNs []int32
+	pageSeen []uint64
+	freeFans *readFan // recycled ReadList records
+
+	// state owns the pooled storage behind mapping, rmap, bufState,
+	// pageSeen and pending; nil once Release has returned it.
 	state *addrState
 
 	counters Counters
@@ -177,9 +184,11 @@ func New(eng *sim.Engine, arr *flash.Array, cfg Config) *FTL {
 	}
 	// Pending plus in-flight pages never exceed the buffer, so a pending
 	// ring of the buffer's page count never grows.
-	f.state = acquireState(f.userLPNs, f.numSBs*f.slotsPerSB,
+	slots := f.numSBs * f.slotsPerSB
+	f.state = acquireState(f.userLPNs, slots, slots/f.slotsPerPage,
 		max(int(cfg.WriteBufferBytes/cfg.LogicalPageSize), 1))
 	f.mapping, f.rmap, f.bufState = f.state.mapping, f.state.rmap, f.state.bufState
+	f.pageSeen = f.state.pageSeen
 	f.pending = ring[int64]{buf: f.state.pending}
 	f.sbValid = make([]int32, f.numSBs)
 	f.sbErases = make([]int32, f.numSBs)
@@ -205,12 +214,6 @@ func (f *FTL) FreeSuperblocks() int {
 	f.mustLive()
 	return len(f.freeSBs)
 }
-
-// NumSuperblocks returns the total number of superblocks.
-func (f *FTL) NumSuperblocks() int { return f.numSBs }
-
-// SlotsPerUnit returns logical pages per program unit.
-func (f *FTL) SlotsPerUnit() int { return f.slotsPerUnit }
 
 // GCActive reports whether garbage collection is currently running.
 func (f *FTL) GCActive() bool { return f.gcActive }
@@ -444,22 +447,13 @@ func (u *drainUnit) onProgrammed() {
 	f.checkFlushDone()
 }
 
-// ReadLPNs reads count logical pages starting at lpn, calling done when all
-// media reads complete. Buffered and unmapped pages cost no media time.
-// It returns the number of flash page reads issued (useful for tests).
-func (f *FTL) ReadLPNs(lpn, count int64, done func()) int {
-	lpns := make([]int64, count)
-	for i := range lpns {
-		lpns[i] = lpn + int64(i)
-	}
-	return f.ReadList(lpns, done)
-}
-
 // ReadList reads an arbitrary set of logical pages, calling done when all
-// media reads complete. Adjacent LPNs that share a flash page share one
-// media read.
+// media reads complete. LPNs that share a flash page share one media read,
+// and pages are read in the order their first LPN appears in lpns, which
+// ReadList does not retain. It returns the number of flash page reads
+// issued.
 func (f *FTL) ReadList(lpns []int64, done func()) int {
-	seen := make(map[int32]int) // flash page -> die
+	pages, seen := f.readPPNs[:0], f.pageSeen
 	for _, p := range lpns {
 		if f.bufState[p] != 0 {
 			continue // DRAM hit
@@ -469,24 +463,55 @@ func (f *FTL) ReadList(lpns []int64, done func()) int {
 			continue // never written: served from the zero map
 		}
 		pg := f.pageOfPPN(ppn)
-		if _, ok := seen[pg]; !ok {
-			seen[pg] = f.dieOfSlot(ppn % int32(f.slotsPerSB))
+		if bit := uint64(1) << (pg & 63); seen[pg>>6]&bit == 0 {
+			seen[pg>>6] |= bit
+			pages = append(pages, ppn)
 		}
 	}
-	if len(seen) == 0 {
+	f.readPPNs = pages
+	if len(pages) == 0 {
 		f.eng.Schedule(0, done)
 		return 0
 	}
-	remaining := len(seen)
-	for _, die := range seen {
-		f.arr.ReadPage(die, func() {
-			remaining--
-			if remaining == 0 {
-				done()
-			}
-		})
+	r := f.freeFans
+	if r != nil {
+		f.freeFans = r.nextFree
+		r.nextFree = nil
+	} else {
+		r = &readFan{f: f}
+		r.page = r.onPage
 	}
-	return len(seen)
+	r.left, r.done = len(pages), done
+	for _, ppn := range pages {
+		pg := f.pageOfPPN(ppn)
+		seen[pg>>6] &^= uint64(1) << (pg & 63)
+		f.arr.ReadPage(f.dieOfSlot(ppn%int32(f.slotsPerSB)), r.page)
+	}
+	return len(pages)
+}
+
+// readFan is one ReadList waiting for its page reads. Records are
+// recycled through the FTL's free list with onPage bound once, so a read
+// allocates nothing.
+type readFan struct {
+	f        *FTL
+	left     int    // page reads outstanding
+	done     func() // the ReadList's completion
+	page     func() // bound onPage
+	nextFree *readFan
+}
+
+// onPage counts one landed page read; the last recycles the record and
+// completes the ReadList.
+func (r *readFan) onPage() {
+	if r.left--; r.left > 0 {
+		return
+	}
+	f, done := r.f, r.done
+	r.done = nil
+	r.nextFree = f.freeFans
+	f.freeFans = r
+	done()
 }
 
 // Trim invalidates count logical pages starting at lpn. Buffered copies are
@@ -712,33 +737,41 @@ func (f *FTL) eraseSB(v int32, done func()) {
 // time), as if it had been written once. With randomized=false pages are
 // laid out sequentially (physically striped in LPN order, the layout after a
 // sequential fill); with randomized=true LPN order is permuted, emulating a
-// randomly written device. rng is only used when randomized.
+// randomly written device. rng is only used when randomized. A fill that is
+// not positive (NaN included) does nothing.
 func (f *FTL) Precondition(fillFrac float64, randomized bool, rng *sim.RNG) {
-	if fillFrac <= 0 {
+	if !(fillFrac > 0) {
 		return
 	}
-	if fillFrac > 1 {
-		fillFrac = 1
-	}
-	n := int64(fillFrac * float64(f.userLPNs))
-	// Sequential layouts need no permutation table: unit k carries LPNs
-	// [k·slotsPerUnit, (k+1)·slotsPerUnit), filled straight into unit.
-	var order []int64
-	if randomized {
-		order = make([]int64, n)
-		for i := range order {
-			order[i] = int64(i)
+	f.mustLive()
+	n := int64(min(fillFrac, 1) * float64(f.userLPNs))
+	if !randomized {
+		if f.pristine() {
+			f.preconditionSequential(n)
+		} else {
+			f.preconditionUnits(n, nil)
 		}
-		for i := int64(n - 1); i > 0; i-- {
-			j := rng.Int64N(i + 1)
-			order[i], order[j] = order[j], order[i]
-		}
+		return
 	}
+	order := make([]int64, n)
+	for i := range order {
+		order[i] = int64(i)
+	}
+	for i := int64(n - 1); i > 0; i-- {
+		j := rng.Int64N(i + 1)
+		order[i], order[j] = order[j], order[i]
+	}
+	f.preconditionUnits(n, order)
+}
+
+// preconditionUnits binds LPNs [0, n) one program unit at a time on the
+// host frontier, in the given order, or in LPN order if order is nil.
+func (f *FTL) preconditionUnits(n int64, order []int64) {
 	unit := make([]int64, f.slotsPerUnit)
 	for i := int64(0); i < n; i += int64(f.slotsPerUnit) {
 		end := min(i+int64(f.slotsPerUnit), n)
 		var lpns []int64
-		if randomized {
+		if order != nil {
 			lpns = order[i:end]
 		} else {
 			lpns = unit[:end-i]
@@ -751,6 +784,57 @@ func (f *FTL) Precondition(fillFrac float64, randomized bool, rng *sim.RNG) {
 		}
 		f.allocUnit(&f.host, lpns)
 		f.counters.PreconditionSlots += uint64(len(lpns))
+	}
+}
+
+// pristine reports whether no slot was ever written, the host frontier is
+// unopened and the write buffer is empty: the state New (and a pooled
+// reset) gives, in which free superblocks pop in index order 0, 1, 2, …
+func (f *FTL) pristine() bool {
+	c := f.counters
+	return c.HostSlots == 0 && c.GCSlots == 0 && c.PreconditionSlots == 0 &&
+		f.host.sb < 0 && f.bufUsed == 0 && f.pending.len() == 0
+}
+
+// preconditionSequential is preconditionUnits(n, nil) on a pristine FTL in
+// closed form. Superblocks open in index order and units fill them
+// contiguously, so LPN l lands on slot l: superblocks 0..last-1 end
+// closed and full, last stays open with the host frontier just past the
+// final (possibly partial) unit.
+func (f *FTL) preconditionSequential(n int64) {
+	if n <= 0 {
+		return
+	}
+	perSB, per := int64(f.slotsPerSB), int64(f.slotsPerUnit)
+	units := (n + per - 1) / per
+	last := int((units - 1) / (perSB / per))
+	// The per-unit loop opens superblock j with numSBs-j free, and fails
+	// once that is no more than the reserve.
+	if f.numSBs-last <= f.cfg.ReserveSBs {
+		panic("ftl: precondition ran out of space")
+	}
+	identity(f.mapping[:n])
+	identity(f.rmap[:n])
+	for sb := 0; sb <= last; sb++ {
+		f.sbValid[sb] = int32(min(n, int64(sb+1)*perSB) - int64(sb)*perSB)
+		f.sbState[sb] = sbClosed
+	}
+	f.sbState[last] = sbOpen
+	f.freeSBs = f.freeSBs[:len(f.freeSBs)-(last+1)]
+	f.host = frontier{sb: int32(last), next: int32(units*per - int64(last)*perSB)}
+	f.counters.PreconditionSlots += uint64(n)
+}
+
+// identity sets s[i] = i. Eight stores per iteration fill the ssd
+// profile's two 4M-entry maps in about two thirds of the time of one.
+func identity(s []int32) {
+	i := 0
+	for ; i+8 <= len(s); i += 8 {
+		v, b := int32(i), (*[8]int32)(s[i:])
+		b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7] = v, v+1, v+2, v+3, v+4, v+5, v+6, v+7
+	}
+	for ; i < len(s); i++ {
+		s[i] = int32(i)
 	}
 }
 

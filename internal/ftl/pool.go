@@ -3,8 +3,8 @@ package ftl
 import "sync"
 
 // addrState is the capacity-sized part of an FTL: the LPN map, its
-// reverse map, the per-LPN buffer flags and the pending-page ring's
-// storage. At the ssd profile's capacity that is about 38 MiB, which a
+// reverse map, the per-LPN buffer flags, ReadList's per-page bitmap and
+// the pending-page ring's storage. At the ssd profile's capacity that is about 38 MiB, which a
 // fresh allocation pays for in page faults and -1 fills on every
 // experiment cell, so Release hands it to statePool and New takes it
 // back, reset to exactly the contents a fresh allocation gets.
@@ -12,33 +12,37 @@ type addrState struct {
 	mapping  []int32
 	rmap     []int32
 	bufState []uint8
+	pageSeen []uint64
 	pending  []int64
 }
 
 var statePool sync.Pool
 
 // acquireState returns address state for userLPNs logical pages, slots
-// physical slots and a pending ring of bufLPNs pages, reusing pooled
-// storage where it is large enough.
-func acquireState(userLPNs int64, slots, bufLPNs int) *addrState {
+// physical slots in pages flash pages and a pending ring of bufLPNs
+// pages, reusing pooled storage where it is large enough.
+func acquireState(userLPNs int64, slots, pages, bufLPNs int) *addrState {
 	st, _ := statePool.Get().(*addrState)
 	if st == nil {
 		st = new(addrState)
 	}
-	st.reset(userLPNs, slots, bufLPNs)
+	st.reset(userLPNs, slots, pages, bufLPNs)
 	return st
 }
 
 // reset sizes the state and gives it exactly a fresh FTL's contents:
-// mapping and rmap all unmapped, bufState all clear. The pending storage
-// needs no reset, since the ring that wraps it starts empty.
-func (st *addrState) reset(userLPNs int64, slots, bufLPNs int) {
+// mapping and rmap all unmapped, bufState and pageSeen all clear. The
+// pending storage needs no reset, since the ring that wraps it starts
+// empty.
+func (st *addrState) reset(userLPNs int64, slots, pages, bufLPNs int) {
 	st.mapping = resize(st.mapping, int(userLPNs))
 	fillUnmapped(st.mapping)
 	st.rmap = resize(st.rmap, slots)
 	fillUnmapped(st.rmap)
 	st.bufState = resize(st.bufState, int(userLPNs))
 	clear(st.bufState)
+	st.pageSeen = resize(st.pageSeen, (pages+63)/64)
+	clear(st.pageSeen)
 	st.pending = resize(st.pending, bufLPNs)
 }
 
@@ -83,7 +87,7 @@ func (f *FTL) Release() {
 		return
 	}
 	f.state = nil
-	f.mapping, f.rmap, f.bufState = nil, nil, nil
+	f.mapping, f.rmap, f.bufState, f.pageSeen = nil, nil, nil, nil
 	f.pending = ring[int64]{}
 	f.sbValid, f.sbErases, f.sbState, f.freeSBs = nil, nil, nil, nil
 	f.drainBusy = nil

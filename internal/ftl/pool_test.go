@@ -10,14 +10,15 @@ import (
 // TestPoolResetMatchesFresh checks that reset turns any used state, larger
 // or smaller than needed, into exactly the contents of a fresh one.
 func TestPoolResetMatchesFresh(t *testing.T) {
-	const lpns, slots, buf = 1000, 1200, 64
+	const lpns, slots, pages, buf = 1000, 1200, 300, 64
 	var fresh addrState
-	fresh.reset(lpns, slots, buf)
+	fresh.reset(lpns, slots, pages, buf)
 	for _, size := range []int{500, 1000, 5000} {
 		used := &addrState{
 			mapping:  make([]int32, size),
 			rmap:     make([]int32, size+size/5),
 			bufState: make([]uint8, size),
+			pageSeen: make([]uint64, size/256),
 			pending:  make([]int64, 7),
 		}
 		for i := range used.mapping {
@@ -27,9 +28,13 @@ func TestPoolResetMatchesFresh(t *testing.T) {
 		for i := range used.rmap {
 			used.rmap[i] = int32(i)
 		}
-		used.reset(lpns, slots, buf)
+		for i := range used.pageSeen {
+			used.pageSeen[i] = ^uint64(i)
+		}
+		used.reset(lpns, slots, pages, buf)
 		if !slices.Equal(used.mapping, fresh.mapping) || !slices.Equal(used.rmap, fresh.rmap) ||
-			!slices.Equal(used.bufState, fresh.bufState) || len(used.pending) != len(fresh.pending) {
+			!slices.Equal(used.bufState, fresh.bufState) || !slices.Equal(used.pageSeen, fresh.pageSeen) ||
+			len(used.pending) != len(fresh.pending) {
 			t.Fatalf("state of size %d differs from a fresh one after reset", size)
 		}
 	}

@@ -13,7 +13,9 @@
 package ssd
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"essdsim/internal/blockdev"
 	"essdsim/internal/flash"
@@ -80,11 +82,6 @@ type Counters struct {
 	Prefetches                    uint64
 }
 
-type cacheEntry struct {
-	ready   bool
-	waiters []func()
-}
-
 type stream struct {
 	next int64 // expected next LPN
 	hits int
@@ -103,11 +100,14 @@ type SSD struct {
 	up, down *sim.Pipe // host->device / device->host
 	fw       *sim.Server
 
-	cache      map[int64]*cacheEntry
-	cacheOrder []int64 // FIFO eviction order
-	streams    []stream
+	cache    readCache
+	inflight inflightIndex // in-flight cache LPN -> its readahead
+	misses   []int64       // scratch: one read's cache misses, for ReadList
+	streams  []stream
 
-	freeWrites *writeOp // recycled write records
+	freeWrites     *writeOp    // recycled write records
+	freeReads      *readOp     // recycled read records
+	freePrefetches *prefetchOp // recycled readahead records
 
 	counters Counters
 }
@@ -127,7 +127,7 @@ func New(eng *sim.Engine, cfg Config, rng *sim.RNG) *SSD {
 		slots = 1
 	}
 	s.fw = sim.NewServer(eng, "fw", slots)
-	s.cache = make(map[int64]*cacheEntry)
+	s.cache.init(s.ftl.UserLPNs(), cfg.ReadCachePages)
 	s.streams = make([]stream, cfg.StreamTableSize)
 	return s
 }
@@ -157,12 +157,15 @@ func (s *SSD) FTLWriteAmp() float64 { return s.ftl.Counters().WriteAmplification
 // Counters returns host-visible activity counters.
 func (s *SSD) Counters() Counters { return s.counters }
 
-// ReleaseResources hands the FTL's capacity-sized address state to a pool
-// for the next SSD built (see ftl.FTL.Release); counters and Engine stay
-// readable. The device must serve no I/O afterwards, and its engine must
-// run none of its pending events: call only once the cell's measurement
-// and inspection are done.
-func (s *SSD) ReleaseResources() { s.ftl.Release() }
+// ReleaseResources hands the FTL's capacity-sized address state and the
+// read cache's bitmaps to pools for the next SSD built (see
+// ftl.FTL.Release); counters and Engine stay readable. The device must
+// serve no I/O afterwards, and its engine must run none of its pending
+// events: call only once the cell's measurement and inspection are done.
+func (s *SSD) ReleaseResources() {
+	s.ftl.Release()
+	s.cache.release()
+}
 
 // Precondition instantly fills fillFrac of the device as if written once
 // (sequentially laid out unless randomized).
@@ -233,12 +236,7 @@ func (o *writeOp) onFirmware() { o.s.up.Transfer(o.r.Size, o.sent) }
 func (o *writeOp) onSent() {
 	s := o.s
 	lpn, count := s.lpnRange(o.r)
-	// Writes invalidate any cached copies.
-	if len(s.cache) > 0 {
-		for i := int64(0); i < count; i++ {
-			s.dropCache(lpn + i)
-		}
-	}
+	s.cache.drop(lpn, count) // writes invalidate any cached copies
 	s.ftl.HostWrite(lpn, count, o.admitted)
 }
 
@@ -253,41 +251,84 @@ func (o *writeOp) onAdmitted() {
 }
 
 func (s *SSD) submitRead(r *blockdev.Request) {
-	lpn, count := s.lpnRange(r)
 	s.counters.Reads++
 	s.counters.ReadBytes += r.Size
-	s.fw.Visit(s.cfg.FirmwareLatency.Sample(s.rng), func() {
-		s.detectStream(lpn, count)
-		var misses []int64
-		pending := 1 // guard against premature completion while classifying
-		finishOne := func() {
-			pending--
-			if pending == 0 {
-				s.down.Transfer(r.Size, func() { s.complete(r) })
-			}
-		}
-		for i := int64(0); i < count; i++ {
-			p := lpn + i
-			if e, ok := s.cache[p]; ok {
-				if e.ready {
-					s.counters.CacheHits++
-					continue
-				}
-				// In-flight prefetch: wait for it rather than re-read.
-				s.counters.CacheHits++
-				pending++
-				e.waiters = append(e.waiters, finishOne)
-				continue
-			}
+	o := s.freeReads
+	if o != nil {
+		s.freeReads = o.nextFree
+		o.nextFree = nil
+	} else {
+		o = &readOp{s: s}
+		o.fwDone = o.onFirmware
+		o.page = o.onPage
+		o.sent = o.onSent
+	}
+	o.r = r
+	s.fw.Visit(s.cfg.FirmwareLatency.Sample(s.rng), o.fwDone)
+}
+
+// readOp carries one host read through firmware, the read cache and flash,
+// and the host link. Records are recycled through the SSD's free list with
+// their stage methods bound once, so a read allocates nothing.
+type readOp struct {
+	s        *SSD
+	r        *blockdev.Request
+	pending  int    // outstanding: the miss list, in-flight pages, the classification guard
+	fwDone   func() // bound onFirmware
+	page     func() // bound onPage
+	sent     func() // bound onSent
+	nextFree *readOp
+}
+
+// onFirmware classifies the read's pages against the read cache: ready
+// pages are hits, in-flight ones wait for their readahead, and the rest go
+// to flash in one ReadList.
+func (o *readOp) onFirmware() {
+	s := o.s
+	lpn, count := s.lpnRange(o.r)
+	s.detectStream(lpn, count)
+	misses := s.misses[:0]
+	o.pending = 1 // guard against premature completion while classifying
+	for p := lpn; p < lpn+count; p++ {
+		switch {
+		case !s.cache.has(p):
 			s.counters.CacheMisses++
 			misses = append(misses, p)
+		case s.cache.isReady(p):
+			s.counters.CacheHits++
+		default:
+			// In-flight prefetch: wait for it rather than re-read.
+			s.counters.CacheHits++
+			o.pending++
+			s.inflight.get(p).wait(o, p)
 		}
-		if len(misses) > 0 {
-			pending++
-			s.ftl.ReadList(misses, finishOne)
-		}
-		finishOne() // release the classification guard
-	})
+	}
+	s.misses = misses
+	if len(misses) > 0 {
+		o.pending++
+		s.ftl.ReadList(misses, o.page)
+	}
+	o.onPage() // release the classification guard
+}
+
+func (o *readOp) onPage() { o.landed(1) }
+
+// landed counts n outstanding items done; the last sends the data to the
+// host.
+func (o *readOp) landed(n int) {
+	if o.pending -= n; o.pending == 0 {
+		o.s.down.Transfer(o.r.Size, o.sent)
+	}
+}
+
+// onSent recycles the record, then completes the request, so a completion
+// that submits the next read reuses this record.
+func (o *readOp) onSent() {
+	s, r := o.s, o.r
+	o.r = nil
+	o.nextFree = s.freeReads
+	s.freeReads = o
+	s.complete(r)
 }
 
 func (s *SSD) submitTrim(r *blockdev.Request) {
@@ -295,9 +336,7 @@ func (s *SSD) submitTrim(r *blockdev.Request) {
 	s.counters.Trims++
 	s.fw.Visit(s.cfg.FirmwareLatency.Sample(s.rng), func() {
 		s.ftl.Trim(lpn, count)
-		for i := int64(0); i < count; i++ {
-			s.dropCache(lpn + i)
-		}
+		s.cache.drop(lpn, count)
 		s.complete(r)
 	})
 }
@@ -341,56 +380,80 @@ func (s *SSD) detectStream(lpn, count int64) {
 
 // prefetch reads [from, from+depth) into the read cache in the background.
 func (s *SSD) prefetch(from, depth int64) {
-	maxLPN := s.ftl.UserLPNs()
-	var todo []int64
-	for p := from; p < from+depth && p < maxLPN; p++ {
-		if _, ok := s.cache[p]; ok {
-			continue
-		}
-		s.insertCache(p, false)
-		todo = append(todo, p)
+	pf := s.freePrefetches
+	if pf != nil {
+		s.freePrefetches = pf.nextFree
+		pf.nextFree = nil
+	} else {
+		pf = &prefetchOp{s: s}
+		pf.done = pf.onDone
 	}
-	if len(todo) == 0 {
+	pf.lpns = s.cache.fill(from, min(from+depth, s.ftl.UserLPNs()), pf.lpns[:0])
+	if len(pf.lpns) == 0 {
+		pf.recycle()
 		return
 	}
-	s.counters.Prefetches += uint64(len(todo))
-	s.ftl.ReadList(todo, func() {
-		for _, p := range todo {
-			if e, ok := s.cache[p]; ok && !e.ready {
-				e.ready = true
-				for _, w := range e.waiters {
-					w()
-				}
-				e.waiters = nil
-			}
-		}
-	})
+	s.counters.Prefetches += uint64(len(pf.lpns))
+	// Every in-flight LPN belongs to exactly one readahead: fill inserts
+	// only LPNs the cache does not hold, and in-flight LPNs are neither
+	// dropped nor evicted.
+	for _, p := range pf.lpns {
+		s.inflight.put(p, pf)
+	}
+	s.ftl.ReadList(pf.lpns, pf.done)
 }
 
-func (s *SSD) insertCache(lpn int64, ready bool) {
-	for len(s.cacheOrder) >= s.cfg.ReadCachePages {
-		victim := s.cacheOrder[0]
-		s.cacheOrder = s.cacheOrder[1:]
-		e, ok := s.cache[victim]
-		if !ok {
-			continue // already dropped by a write or trim
-		}
-		if !e.ready {
-			// In-flight prefetch is pinned; rotate it to the back. The cache
-			// may transiently exceed capacity by the in-flight count.
-			s.cacheOrder = append(s.cacheOrder, victim)
-			break
-		}
-		delete(s.cache, victim)
-	}
-	s.cache[lpn] = &cacheEntry{ready: ready}
-	s.cacheOrder = append(s.cacheOrder, lpn)
+// prefetchOp is one readahead in flight. Records are recycled through the
+// SSD's free list with onDone bound once, and keep their slices' storage.
+type prefetchOp struct {
+	s        *SSD
+	lpns     []int64  // the LPNs it inserted, ascending
+	waits    []waiter // reads waiting on those LPNs, in arrival order
+	done     func()   // bound onDone
+	nextFree *prefetchOp
 }
 
-func (s *SSD) dropCache(lpn int64) {
-	if e, ok := s.cache[lpn]; ok && e.ready {
-		delete(s.cache, lpn)
+// waiter is one read waiting on pages of one readahead: how many, and the
+// highest LPN among them.
+type waiter struct {
+	r     *readOp
+	pages int
+	last  int64
+}
+
+// wait registers read r on in-flight LPN p. A read classifies its LPNs in
+// one ascending pass, so its pages of one readahead form one waiter.
+func (pf *prefetchOp) wait(r *readOp, p int64) {
+	if n := len(pf.waits); n > 0 && pf.waits[n-1].r == r {
+		pf.waits[n-1].pages++
+		pf.waits[n-1].last = p
+		return
 	}
+	pf.waits = append(pf.waits, waiter{r: r, pages: 1, last: p})
+}
+
+// onDone marks the readahead's pages ready and releases its waiters. A
+// read completes on its last page, and reads complete in page order, then
+// arrival order, as when each cached page kept its own waiter list.
+func (pf *prefetchOp) onDone() {
+	s := pf.s
+	for _, p := range pf.lpns {
+		s.cache.setReady(p)
+		s.inflight.del(p)
+	}
+	slices.SortStableFunc(pf.waits, func(a, b waiter) int { return cmp.Compare(a.last, b.last) })
+	for _, w := range pf.waits {
+		w.r.landed(w.pages)
+	}
+	pf.recycle()
+}
+
+func (pf *prefetchOp) recycle() {
+	s := pf.s
+	clear(pf.waits)
+	pf.lpns, pf.waits = pf.lpns[:0], pf.waits[:0]
+	pf.nextFree = s.freePrefetches
+	s.freePrefetches = pf
 }
 
 var _ blockdev.Device = (*SSD)(nil)

@@ -116,7 +116,7 @@ func TestWriteInvalidatesReadCache(t *testing.T) {
 	// from cache bookkeeping (we only check it is dropped, i.e. it becomes
 	// a buffer hit through the FTL instead).
 	do(eng, s, blockdev.Write, 20*4096, 4096)
-	if _, ok := s.cache[20]; ok {
+	if s.cache.has(20) {
 		t.Fatal("written LPN still in read cache")
 	}
 }
