@@ -244,7 +244,7 @@ func BenchmarkAblationReplication(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				g := harness.RunLatencyGridWith(f, []workload.Pattern{workload.RandWrite},
 					[]int64{4 << 10}, []int{1}, benchOpts)
-				avg = g.Cells[0].Avg.Micros()
+				avg = float64(g.Cells[0].Avg) / float64(sim.Microsecond)
 			}
 			reportCells(b, 1)
 			b.ReportMetric(avg, "write-avg-µs")
@@ -290,7 +290,7 @@ func BenchmarkAblationWriteBuffer(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				g := harness.RunLatencyGridWith(f, []workload.Pattern{workload.RandWrite},
 					[]int64{256 << 10}, []int{16}, benchOpts)
-				p999 = g.Cells[0].P999.Micros()
+				p999 = float64(g.Cells[0].P999) / float64(sim.Microsecond)
 			}
 			reportCells(b, 1)
 			b.ReportMetric(p999, "write-p999-µs")
@@ -313,7 +313,7 @@ func BenchmarkAblationPrefetchDepth(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				g := harness.RunLatencyGridWith(f, []workload.Pattern{workload.SeqRead},
 					[]int64{4 << 10}, []int{1}, benchOpts)
-				avg = g.Cells[0].Avg.Micros()
+				avg = float64(g.Cells[0].Avg) / float64(sim.Microsecond)
 			}
 			reportCells(b, 1)
 			b.ReportMetric(avg, "seqread-avg-µs")
@@ -336,7 +336,7 @@ func BenchmarkAblationBurst(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				g := harness.RunLatencyGridWith(f, []workload.Pattern{workload.RandWrite},
 					[]int64{256 << 10}, []int{16}, benchOpts)
-				p999 = g.Cells[0].P999.Micros()
+				p999 = float64(g.Cells[0].P999) / float64(sim.Microsecond)
 			}
 			reportCells(b, 1)
 			b.ReportMetric(p999, "write-p999-µs")
@@ -519,7 +519,7 @@ func BenchmarkProbeSampling(b *testing.B) {
 		if res.Ops != 2000 {
 			b.Fatalf("short run: %d ops", res.Ops)
 		}
-		rows = cap.Prober.Samples()
+		rows = len(cap.Prober.Series("cluster/debt_bytes"))
 		if rows == 0 {
 			b.Fatal("no probe samples collected")
 		}
@@ -676,8 +676,15 @@ func BenchmarkFleetPack(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cells = rep.Cells
-		gap = rep.Policy("first-fit").P999Violations - rep.Policy("interference").P999Violations
+		cells, gap = rep.Cells, 0
+		for _, pr := range rep.Policies {
+			switch pr.Policy {
+			case "first-fit":
+				gap += pr.P999Violations
+			case "interference":
+				gap -= pr.P999Violations
+			}
+		}
 	}
 	reportCells(b, cells)
 	b.ReportMetric(float64(gap), "violation-gap")

@@ -128,6 +128,9 @@ func (b *bench) main(args []string) error {
 	if b.mixPct < 0 || b.mixPct > 100 {
 		return fmt.Errorf("-rwmixwrite %d out of [0, 100]", b.mixPct)
 	}
+	if b.sloP99 < 0 || b.sloP999 < 0 {
+		return fmt.Errorf("-slo-p99 %v and -slo-p999 %v must not be negative", b.sloP99, b.sloP999)
+	}
 	if (b.weight != 0 || b.reservedBps != 0) && !b.Isolation.Enabled() {
 		return errors.New("-weight/-reserved-bps need -isolation wfq or reservation; fifo ignores shares")
 	}

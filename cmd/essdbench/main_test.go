@@ -111,6 +111,12 @@ func TestRejects(t *testing.T) {
 		{"-device essd1 -rw randwrite -bs 4k -rate Inf", "-rate"},
 		{"-device gp2s -slo-p99 2ms -slo-range NaN,4000", "-slo-range"},
 		{"-device gp2s -slo-p99 2ms -slo-range 100,+Inf", "-slo-range"},
+		{"-device gp2s -rw randwrite -bs 256k -slo-p99 20ms -slo-range 50,2000 -slo-tol NaN", "tolerance"},
+		{"-device gp2s -rw randwrite -bs 256k -slo-p99 20ms -slo-range 50,2000 -slo-tol -1", "tolerance"},
+		{"-device gp2s -rw randwrite -bs 256k -slo-p99 -1ms", "-slo-p99"},
+		{"-device gp2s -rw randwrite -bs 256k -slo-p999 -1ms", "-slo-p999"},
+		{"-device essd1 -rw randread -bs 4k -weight NaN -isolation wfq", "weight"},
+		{"-device essd1 -rw randread -bs 4k -reserved-bps Inf -isolation reservation", "reservation"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			code, out, errOut := essdbench(dir, tc.args)

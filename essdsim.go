@@ -234,7 +234,7 @@ func RunOpen(dev Device, spec OpenWorkload) *OpenWorkloadResult {
 // engine — the multi-tenant regime where volumes sharing a Backend
 // interfere.
 type (
-	// Tenant pairs one volume with its generator (open- or closed-loop).
+	// Tenant pairs one volume with its open-loop generator.
 	Tenant = workload.Tenant
 	// TenantResult holds one tenant's measurements from RunTenantMix.
 	TenantResult = workload.TenantResult
@@ -460,7 +460,8 @@ type (
 	// whatever packing lifecycle events leave behind.
 	NeverMove = churn.NeverMove
 	// ThresholdRebalance migrates volumes off backends whose nominal
-	// utilization exceeds HighUtil, up to the spec's migration budget.
+	// utilization (offered / backend budget) exceeds 1, up to the spec's
+	// migration budget.
 	ThresholdRebalance = churn.Threshold
 	// DrainRebalance is the lazy variant of ThresholdRebalance: the same
 	// trigger, at most one migration per epoch.

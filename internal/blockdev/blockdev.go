@@ -50,10 +50,6 @@ type Request struct {
 	// OnComplete is invoked exactly once when the request finishes.
 	// It may be nil.
 	OnComplete func(r *Request, at sim.Time)
-
-	// Hint marks requests generated internally (GC, prefetch, replication)
-	// so accounting can separate them from host I/O.
-	Hint string
 }
 
 // Latency returns the completion latency given the completion time.

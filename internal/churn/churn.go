@@ -20,16 +20,16 @@ const (
 	// Create provisions a new volume cloned from a catalog demand shape
 	// and places it online via the placement policy.
 	Create EventKind = iota
-	// Delete detaches a live volume; its backend capacity is reclaimed
-	// from the next epoch on.
+	// Delete removes a live volume from the fleet; its backend capacity
+	// is reclaimed from the next epoch on, whose backends are built
+	// afresh from the live volumes.
 	Delete
-	// Expand doubles a live volume's demand scale (bounded by MaxScale).
+	// Expand doubles a live volume's demand scale (at most 4×).
 	Expand
-	// Shrink halves a live volume's demand scale (bounded by MinScale).
+	// Shrink halves a live volume's demand scale (at least 0.25×).
 	Shrink
 	// Snapshot models a snapshot/clone as a one-epoch write burst: the
-	// volume's offered rate is multiplied by BurstFactor for the next
-	// epoch only.
+	// volume's offered rate is multiplied by 3 for the next epoch only.
 	Snapshot
 	// Migrate is emitted by rebalancing policies (never drawn from the
 	// churn process): the volume moves to another backend at a cost of
@@ -86,8 +86,11 @@ type EventRecord struct {
 // fleet.Spec supplies the demand catalog (the shapes creates clone),
 // the backend/volume templates, packing budgets, SLO targets, the
 // epoch length (Fleet.Horizon), seed, workers, cache, and label.
-// Fleet.Policies is not compared policy-by-policy here; Placement
-// picks the single online policy (default: the first fleet policy).
+// Fleet.Policies is not compared policy-by-policy here: the first fleet
+// policy makes the online decision for every created volume — it
+// re-plans the live fleet through its ordinary Place call and the
+// control plane adopts only the newcomer's slot, so existing volumes move
+// only via the Rebalancer.
 type Spec struct {
 	Fleet fleet.Spec
 
@@ -100,21 +103,6 @@ type Spec struct {
 	// fleet, negative is invalid). Ignored when Script is non-empty.
 	ChurnRate float64
 
-	// BurstFactor multiplies a snapshotted volume's offered rate for
-	// one epoch (default 3).
-	BurstFactor float64
-
-	// MaxScale and MinScale bound a volume's demand scale under
-	// expand/shrink (defaults 4 and 0.25).
-	MaxScale, MinScale float64
-
-	// Placement makes the online decision for every created volume: the
-	// policy re-plans the live fleet through its ordinary Place call and
-	// the control plane adopts only the newcomer's slot — existing
-	// volumes move only via the Rebalancer. Default: the first policy of
-	// the fleet spec.
-	Placement fleet.PlacementPolicy
-
 	// Rebalancer plans migrations between epochs (default NeverMove).
 	Rebalancer Rebalancer
 
@@ -126,22 +114,22 @@ type Spec struct {
 	Script []Event
 }
 
+// Lifecycle bounds: a snapshot multiplies a volume's offered rate by
+// burstFactor for one epoch, and expand/shrink keep a volume's demand
+// scale within [minScale, maxScale].
+const (
+	burstFactor = 3
+	minScale    = 0.25
+	maxScale    = 4
+)
+
+// placement is the online policy every create goes through.
+func (s Spec) placement() fleet.PlacementPolicy { return s.Fleet.Policies[0] }
+
 func (s Spec) withDefaults() Spec {
 	s.Fleet = s.Fleet.Normalize()
 	if s.Epochs <= 0 {
 		s.Epochs = 6
-	}
-	if s.BurstFactor <= 0 {
-		s.BurstFactor = 3
-	}
-	if s.MaxScale <= 0 {
-		s.MaxScale = 4
-	}
-	if s.MinScale <= 0 {
-		s.MinScale = 0.25
-	}
-	if s.Placement == nil {
-		s.Placement = s.Fleet.Policies[0]
 	}
 	if s.Rebalancer == nil {
 		s.Rebalancer = NeverMove{}
@@ -195,7 +183,7 @@ type volume struct {
 }
 
 // effScale is the scale the coming epoch simulates at.
-func (v *volume) effScale(burstFactor float64) float64 {
+func (v *volume) effScale() float64 {
 	if v.burst {
 		return v.scale * burstFactor
 	}
@@ -208,9 +196,9 @@ func (v *volume) effScale(burstFactor float64) float64 {
 // catalog (already folded into the sweep label) uniquely determines
 // every member's demand, which is what keeps cell seeds and cache
 // entries sound.
-func (v *volume) token(burstFactor float64) string {
+func (v *volume) token() string {
 	t := v.name
-	if s := v.effScale(burstFactor); s != 1 {
+	if s := v.effScale(); s != 1 {
 		t += fmt.Sprintf("~x%g", s)
 	}
 	return t
@@ -220,8 +208,8 @@ func (v *volume) token(burstFactor float64) string {
 // catalog shape with the rate scaled and the instance token as name.
 func (s Spec) effDemand(v *volume) fleet.Demand {
 	d := s.Fleet.Demands[v.base]
-	d.Name = v.token(s.BurstFactor)
-	d.RatePerSec *= v.effScale(s.BurstFactor)
+	d.Name = v.token()
+	d.RatePerSec *= v.effScale()
 	return d
 }
 
@@ -262,7 +250,7 @@ func (st *state) place(newcomer fleet.Demand) int {
 		demands = append(demands, st.spec.effDemand(v))
 	}
 	demands = append(demands, newcomer)
-	assign := st.spec.Placement.Place(st.cons, demands)
+	assign := st.spec.placement().Place(st.cons, demands)
 	b := assign[len(assign)-1]
 	if b < 0 || b >= st.spec.Fleet.Backends {
 		b = 0
@@ -387,7 +375,7 @@ func (st *state) apply(ev Event) (EventRecord, bool) {
 		if ev.Kind == Shrink {
 			scale = v.scale / 2
 		}
-		if scale > s.MaxScale || scale < s.MinScale {
+		if scale > maxScale || scale < minScale {
 			return EventRecord{}, false
 		}
 		v.scale = scale
@@ -402,7 +390,7 @@ func (st *state) apply(ev Event) (EventRecord, bool) {
 		v.burst = true
 		return EventRecord{Epoch: ev.Epoch, Kind: Snapshot, Tenant: v.name,
 			Demand: s.Fleet.Demands[v.base].Name, From: v.backend, To: v.backend,
-			Scale: v.effScale(s.BurstFactor)}, true
+			Scale: v.effScale()}, true
 	default:
 		return EventRecord{}, false
 	}
@@ -492,7 +480,7 @@ func (st *state) snapshot(cells *[]fleet.MixCell, index map[string]int) []beRef 
 		tokens := make([]string, len(members))
 		demands := make([]fleet.Demand, len(members))
 		for i, li := range members {
-			tokens[i] = st.live[li].token(s.BurstFactor)
+			tokens[i] = st.live[li].token()
 			demands[i] = s.effDemand(st.live[li])
 		}
 		name := "mix[" + strings.Join(tokens, "+") + "]"
@@ -525,16 +513,16 @@ func Run(ctx context.Context, s Spec) (*Report, error) {
 
 	// Initial population: the placement policy packs the catalog exactly
 	// as a static fleet study would.
-	assign := s.Placement.Place(st.cons, s.Fleet.Demands)
+	assign := s.placement().Place(st.cons, s.Fleet.Demands)
 	if len(assign) != len(s.Fleet.Demands) {
 		return nil, fmt.Errorf("churn: policy %s placed %d of %d demands",
-			s.Placement.Name(), len(assign), len(s.Fleet.Demands))
+			s.placement().Name(), len(assign), len(s.Fleet.Demands))
 	}
 	for i, d := range s.Fleet.Demands {
 		b := assign[i]
 		if b < 0 || b >= s.Fleet.Backends {
 			return nil, fmt.Errorf("churn: policy %s placed a demand on backend %d of %d",
-				s.Placement.Name(), b, s.Fleet.Backends)
+				s.placement().Name(), b, s.Fleet.Backends)
 		}
 		st.next[d.Name] = 1
 		st.live = append(st.live, &volume{name: d.Name, base: i, scale: 1, backend: b, instance: 1})

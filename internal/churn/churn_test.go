@@ -119,10 +119,10 @@ func TestChurnZeroChurnMatchesFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr := frep.Policy("first-fit")
-	if pr == nil {
+	if len(frep.Policies) != 1 || frep.Policies[0].Policy != "first-fit" {
 		t.Fatal("missing first-fit fleet report")
 	}
+	pr := &frep.Policies[0]
 
 	crep, err := Run(context.Background(), Spec{Fleet: fs, Epochs: 3})
 	if err != nil {
@@ -321,14 +321,14 @@ func TestDrainPlan(t *testing.T) {
 		},
 		Budget: 2,
 	}
-	moves := drainPlan(v, 1, 2)
+	moves := drainPlan(v, 2)
 	if len(moves) != 1 {
 		t.Fatalf("got %d moves, want 1 (moving big clears the overload): %+v", len(moves), moves)
 	}
 	if moves[0].Tenant != 1 || moves[0].To != 2 {
 		t.Fatalf("move = %+v, want tenant 1 (big) to backend 2 (coldest)", moves[0])
 	}
-	if got := drainPlan(View{Backends: 2, BackendBps: 100, Load: []float64{90, 50}, Budget: 2}, 1, 2); len(got) != 0 {
+	if got := drainPlan(View{Backends: 2, BackendBps: 100, Load: []float64{90, 50}, Budget: 2}, 2); len(got) != 0 {
 		t.Fatalf("under-threshold view planned moves: %+v", got)
 	}
 	if got := (NeverMove{}).Plan(v); got != nil {

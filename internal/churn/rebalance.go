@@ -52,43 +52,36 @@ func (NeverMove) Name() string { return "never" }
 func (NeverMove) Plan(View) []Move { return nil }
 
 // Threshold migrates eagerly when a backend's nominal utilization
-// exceeds HighUtil (default 1.0): largest tenants first off the hottest
-// backend onto the least-loaded one, until every backend is under the
-// threshold or the epoch's budget is spent.
-type Threshold struct {
-	// HighUtil is the nominal utilization (offered / BackendBps) above
-	// which a backend is drained; 0 means 1.0.
-	HighUtil float64
-}
+// (offered / BackendBps) exceeds highUtil: largest tenants first off the
+// hottest backend onto the least-loaded one, until every backend is
+// under the threshold or the epoch's budget is spent.
+type Threshold struct{}
 
 // Name implements Rebalancer.
 func (t Threshold) Name() string { return "threshold" }
 
 // Plan implements Rebalancer.
-func (t Threshold) Plan(v View) []Move { return drainPlan(v, t.HighUtil, v.Budget) }
+func (t Threshold) Plan(v View) []Move { return drainPlan(v, v.Budget) }
 
 // Drain is the lazy variant of Threshold: the same overload trigger,
 // but at most one migration per epoch — a background drain that trades
 // longer overload exposure for minimal migration cost.
-type Drain struct {
-	// HighUtil is the nominal utilization above which a backend is
-	// drained; 0 means 1.0.
-	HighUtil float64
-}
+type Drain struct{}
 
 // Name implements Rebalancer.
 func (d Drain) Name() string { return "drain" }
 
 // Plan implements Rebalancer.
-func (d Drain) Plan(v View) []Move { return drainPlan(v, d.HighUtil, 1) }
+func (d Drain) Plan(v View) []Move { return drainPlan(v, 1) }
+
+// highUtil is the nominal utilization above which Threshold and Drain
+// consider a backend overloaded.
+const highUtil = 1.0
 
 // drainPlan moves the largest tenants off overloaded backends onto the
 // least-loaded ones, at most maxMoves this epoch. Ties break toward the
 // lower backend/tenant index so plans are deterministic.
-func drainPlan(v View, highUtil float64, maxMoves int) []Move {
-	if highUtil <= 0 {
-		highUtil = 1
-	}
+func drainPlan(v View, maxMoves int) []Move {
 	load := append([]float64(nil), v.Load...)
 	var moves []Move
 	for len(moves) < maxMoves {

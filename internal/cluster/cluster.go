@@ -142,13 +142,6 @@ type Cluster struct {
 	debtUpdate sim.Time
 	cleaned    float64 // fractional carry of cleaner progress
 
-	// live tracks each flow's residual contribution to the pooled debt:
-	// it grows with the flow's admitted debt and drains proportionally
-	// with the pool, so ReleaseFlow can credit back exactly the share of
-	// the backlog that belonged to a departing volume. Pure side
-	// accounting — it never feeds back into debt except at ReleaseFlow.
-	live []float64
-
 	// Isolation (SetIsolation): per-flow scheduling on every node
 	// resource plus per-flow debt-share admission. isoOn false keeps the
 	// original fully-pooled FIFO paths untouched.
@@ -159,7 +152,7 @@ type Cluster struct {
 	fiso       []flowIso
 
 	// Intrusive free lists of pooled per-operation jobs (see writeJob):
-	// the steady-state Write/Read paths allocate nothing.
+	// the steady-state WriteFor/ReadFor paths allocate nothing.
 	freeWrites *writeJob
 	freeRepls  *replJob
 	freeReads  *readJob
@@ -389,9 +382,6 @@ func New(eng *sim.Engine, cfg Config, rng *sim.RNG) *Cluster {
 	return c
 }
 
-// Config returns the cluster configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
 // NumNodes returns the node count.
 func (c *Cluster) NumNodes() int { return len(c.nodes) }
 
@@ -413,7 +403,6 @@ func (c *Cluster) NodeStats(i int) NodeStats { return c.nodes[i].stats }
 // keys the per-flow schedulers and the debt-share admission bucket.
 func (c *Cluster) RegisterFlow(name string) int {
 	c.flows = append(c.flows, FlowStats{Name: name})
-	c.live = append(c.live, 0)
 	if c.isoOn {
 		c.fiso = append(c.fiso, flowIso{
 			weight:   1,
@@ -492,21 +481,14 @@ func (c *Cluster) SetFlowQoS(flow int, weight, reservedBps float64) {
 	}
 }
 
-// NumFlows returns the number of registered flows.
-func (c *Cluster) NumFlows() int { return len(c.flows) }
-
 // FlowStats returns a snapshot of flow i's counters.
 func (c *Cluster) FlowStats(i int) FlowStats { return c.flows[i] }
 
-// Write performs one replicated chunk write of the given payload: primary
-// stream + journal-backed write service, then parallel fan-out to
-// Replicas-1 peers, acknowledging (done) when all copies are durable.
-func (c *Cluster) Write(chunk int64, bytes int64, done func()) {
-	c.WriteFor(-1, chunk, bytes, done)
-}
-
-// WriteFor is Write with the primary operation and payload attributed to
-// the registered flow (pass -1 for untracked).
+// WriteFor performs one replicated chunk write of the given payload:
+// primary stream + journal-backed write service, then parallel fan-out to
+// Replicas-1 peers, acknowledging (done) when all copies are durable. The
+// primary operation and payload are attributed to the registered flow
+// (pass -1 for untracked).
 func (c *Cluster) WriteFor(flow int, chunk int64, bytes int64, done func()) {
 	if flow >= 0 {
 		c.flows[flow].Writes++
@@ -539,15 +521,10 @@ func (c *Cluster) WriteFor(flow int, chunk int64, bytes int64, done func()) {
 	}
 }
 
-// Read performs one chunk read of the given payload from the chunk's
+// ReadFor performs one chunk read of the given payload from the chunk's
 // primary: read service (index lookup + backend flash) then the node's read
-// bandwidth.
-func (c *Cluster) Read(chunk int64, bytes int64, done func()) {
-	c.ReadFor(-1, chunk, bytes, done)
-}
-
-// ReadFor is Read with the operation and payload attributed to the
-// registered flow (pass -1 for untracked).
+// bandwidth. The operation and payload are attributed to the registered
+// flow (pass -1 for untracked).
 func (c *Cluster) ReadFor(flow int, chunk int64, bytes int64, done func()) {
 	if flow >= 0 {
 		c.flows[flow].Reads++
@@ -565,13 +542,8 @@ func (c *Cluster) ReadFor(flow int, chunk int64, bytes int64, done func()) {
 	n.read.VisitFlow(flow, c.cfg.ReadService.Sample(c.rng), j.onSvc)
 }
 
-// AddDebt records freshly invalidated bytes (overwrites of previously
-// written data) for the background cleaner.
-func (c *Cluster) AddDebt(bytes int64) {
-	c.AddDebtFor(-1, bytes)
-}
-
-// AddDebtFor is AddDebt with the contribution attributed to the registered
+// AddDebtFor records freshly invalidated bytes (overwrites of previously
+// written data) for the background cleaner, attributed to the registered
 // flow (pass -1 for untracked). Under fifo, debt is pooled regardless of
 // flow: the cleaner has one backlog, so every attached volume's flow
 // limiter sees the sum of all tenants' churn. Under isolation each flow's
@@ -586,9 +558,6 @@ func (c *Cluster) AddDebtFor(flow int, bytes int64) {
 	c.settleDebt()
 	if !c.isoOn || flow < 0 {
 		c.debt += bytes
-		if flow >= 0 {
-			c.live[flow] += float64(bytes)
-		}
 		return
 	}
 	f := &c.fiso[flow]
@@ -603,7 +572,6 @@ func (c *Cluster) AddDebtFor(flow int, bytes int64) {
 	whole := int64(admit)
 	f.tokens -= float64(whole)
 	c.debt += whole
-	c.live[flow] += float64(whole)
 	f.private += float64(bytes - whole)
 }
 
@@ -668,14 +636,12 @@ func (c *Cluster) settleDebt() {
 		c.cleaned += dt * c.cfg.CleanerRate
 		if whole := int64(c.cleaned); whole > 0 {
 			c.cleaned -= float64(whole)
-			before := c.debt
 			c.debt -= whole
 			if c.debt < 0 {
 				spare = float64(-c.debt)
 				c.debt = 0
 				c.cleaned = 0
 			}
-			c.drainLive(before)
 		}
 	} else {
 		spare = dt * c.cfg.CleanerRate
@@ -696,62 +662,5 @@ func (c *Cluster) settleDebt() {
 	keep := 1 - spare/total
 	for i := range c.fiso {
 		c.fiso[i].private *= keep
-	}
-}
-
-// drainLive scales every flow's residual pooled-debt share by the drain
-// the cleaner just applied (before → c.debt), keeping the per-flow shares
-// summing to the pool as it shrinks.
-func (c *Cluster) drainLive(before int64) {
-	if before <= 0 || len(c.live) == 0 {
-		return
-	}
-	if c.debt == 0 {
-		for i := range c.live {
-			c.live[i] = 0
-		}
-		return
-	}
-	factor := float64(c.debt) / float64(before)
-	for i := range c.live {
-		c.live[i] *= factor
-	}
-}
-
-// ReleaseFlow reclaims a departed flow's shared-cluster state: the flow's
-// residual share of the pooled cleaner debt is credited back (a deleted
-// volume's data is gone, so the cleaner no longer owes work for it), its
-// private (unadmitted) debt account is cleared, and its scheduling shares
-// at every node resource reset to the inert defaults. The flow's
-// cumulative FlowStats counters are kept — a departed tenant's usage
-// remains attributable — but the id must not be used for new traffic.
-// Release only a quiescent flow (no in-flight operations).
-func (c *Cluster) ReleaseFlow(flow int) {
-	if flow < 0 || flow >= len(c.flows) {
-		return
-	}
-	c.settleDebt()
-	if reclaim := int64(c.live[flow]); reclaim > 0 {
-		if reclaim > c.debt {
-			reclaim = c.debt
-		}
-		c.debt -= reclaim
-		if c.debt == 0 {
-			c.cleaned = 0
-		}
-	}
-	c.live[flow] = 0
-	if !c.isoOn {
-		return
-	}
-	f := &c.fiso[flow]
-	f.weight, f.reserved = 1, 0
-	f.tokens, f.private = 0, 0
-	for _, n := range c.nodes {
-		n.stream.SetFlow(flow, 1, 0)
-		n.repl.SetFlow(flow, 1, 0)
-		n.readBW.SetFlow(flow, 1, 0)
-		n.write.SetFlow(flow, 1, 0)
-		n.read.SetFlow(flow, 1, 0)
 	}
 }

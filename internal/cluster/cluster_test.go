@@ -80,7 +80,7 @@ func TestWriteLatencyComponents(t *testing.T) {
 	eng := sim.NewEngine()
 	c := New(eng, testConfig(), sim.NewRNG(1, 1))
 	var at sim.Time
-	c.Write(0, 4096, func() { at = eng.Now() })
+	c.WriteFor(-1, 0, 4096, func() { at = eng.Now() })
 	eng.Run()
 	// Replica leg dominates: repl transfer ~2µs + hop 40 + svc 50 + hop 40 ≈ 132µs.
 	want := sim.Time(132 * sim.Microsecond)
@@ -95,7 +95,7 @@ func TestWriteSingleReplica(t *testing.T) {
 	cfg.Replicas = 1
 	c := New(eng, cfg, sim.NewRNG(1, 1))
 	var at sim.Time
-	c.Write(0, 4096, func() { at = eng.Now() })
+	c.WriteFor(-1, 0, 4096, func() { at = eng.Now() })
 	eng.Run()
 	// Primary leg only: stream ~4µs + svc 50µs.
 	if at > sim.Time(60*sim.Microsecond) {
@@ -112,7 +112,7 @@ func TestSequentialWritesSerializeOnOneNode(t *testing.T) {
 	const bytes = 256 << 10
 	var doneSame sim.Time
 	for i := 0; i < n; i++ {
-		c.Write(7, bytes, func() { doneSame = eng.Now() })
+		c.WriteFor(-1, 7, bytes, func() { doneSame = eng.Now() })
 	}
 	eng.Run()
 	sameElapsed := doneSame
@@ -121,7 +121,7 @@ func TestSequentialWritesSerializeOnOneNode(t *testing.T) {
 	c2 := New(eng2, testConfig(), sim.NewRNG(1, 1))
 	var doneSpread sim.Time
 	for i := 0; i < n; i++ {
-		c2.Write(int64(i), bytes, func() { doneSpread = eng2.Now() })
+		c2.WriteFor(-1, int64(i), bytes, func() { doneSpread = eng2.Now() })
 	}
 	eng2.Run()
 	if doneSpread*2 > sameElapsed {
@@ -134,7 +134,7 @@ func TestReadPath(t *testing.T) {
 	eng := sim.NewEngine()
 	c := New(eng, testConfig(), sim.NewRNG(1, 1))
 	var at sim.Time
-	c.Read(3, 4096, func() { at = eng.Now() })
+	c.ReadFor(-1, 3, 4096, func() { at = eng.Now() })
 	eng.Run()
 	// svc 200µs + 4µs transfer.
 	if at < sim.Time(200*sim.Microsecond) || at > sim.Time(210*sim.Microsecond) {
@@ -151,7 +151,7 @@ func TestDebtAccrualAndDecay(t *testing.T) {
 	cfg := testConfig()
 	cfg.CleanerRate = 1000 // 1000 B/s
 	c := New(eng, cfg, sim.NewRNG(1, 1))
-	c.AddDebt(5000)
+	c.AddDebtFor(-1, 5000)
 	if got := c.Debt(); got != 5000 {
 		t.Fatalf("debt = %d", got)
 	}
@@ -173,7 +173,7 @@ func TestDebtZeroCleaner(t *testing.T) {
 	cfg := testConfig()
 	cfg.CleanerRate = 0
 	c := New(eng, cfg, sim.NewRNG(1, 1))
-	c.AddDebt(100)
+	c.AddDebtFor(-1, 100)
 	eng.Schedule(sim.Duration(10*sim.Second), func() {})
 	eng.Run()
 	if c.Debt() != 100 {
@@ -189,7 +189,7 @@ func TestWriteCompletionProperty(t *testing.T) {
 		c := New(eng, testConfig(), sim.NewRNG(9, 9))
 		completed := 0
 		for _, ch := range chunks {
-			c.Write(int64(ch), 4096, func() { completed++ })
+			c.WriteFor(-1, int64(ch), 4096, func() { completed++ })
 		}
 		eng.Run()
 		if completed != len(chunks) {

@@ -15,7 +15,7 @@ import (
 
 // peekSettled computes the pooled debt settleDebt would report now, plus
 // the spare cleaner capacity beyond it, without mutating the drain
-// state (debtUpdate, cleaned, live, private).
+// state (debtUpdate, cleaned, private).
 func (c *Cluster) peekSettled() (debt int64, spare float64) {
 	debt = c.debt
 	dt := c.eng.Now().Sub(c.debtUpdate).Seconds()

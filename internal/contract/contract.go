@@ -41,50 +41,27 @@ func (r *Report) Passed() bool {
 	return true
 }
 
-// Thresholds parameterize the contract verdicts. Zero values take the
-// defaults derived from the paper's findings.
-type Thresholds struct {
-	// O1: minimum ESSD/SSD latency gap at small/low-QD I/O for the
-	// "tens to a hundred times" clause (default 10×), and the minimum
-	// factor by which scaling I/O must shrink the gap (default 2×).
-	MinSmallGap  float64
-	MinGapShrink float64
+// The thresholds of the contract verdicts, derived from the paper's
+// findings.
+const (
+	// O1: minimum ESSD/SSD latency gap at small/low-QD I/O for the "tens
+	// to a hundred times" clause, and the minimum factor by which scaling
+	// I/O must shrink the gap.
+	minSmallGap, minGapShrink float64 = 10, 2
 	// O2: latest acceptable SSD knee and earliest acceptable ESSD knee,
-	// as capacity multiples (defaults 1.4× and 1.8×).
-	MaxSSDKnee  float64
-	MinESSDKnee float64
-	// O3: minimum ESSD rand/seq gain (default 1.15×) and the band around
-	// 1.0 required of the SSD (default ±0.15).
-	MinESSDGain float64
-	SSDGainBand float64
-	// O4: maximum ESSD mixed-throughput spread (default 0.10) and minimum
-	// SSD spread (default 0.25).
-	MaxESSDSpread float64
-	MinSSDSpread  float64
-}
-
-func (t Thresholds) withDefaults() Thresholds {
-	def := func(v *float64, d float64) {
-		if *v <= 0 {
-			*v = d
-		}
-	}
-	def(&t.MinSmallGap, 10)
-	def(&t.MinGapShrink, 2)
-	def(&t.MaxSSDKnee, 1.4)
-	def(&t.MinESSDKnee, 1.8)
-	def(&t.MinESSDGain, 1.15)
-	def(&t.SSDGainBand, 0.15)
-	def(&t.MaxESSDSpread, 0.10)
-	def(&t.MinSSDSpread, 0.25)
-	return t
-}
+	// as capacity multiples.
+	maxSSDKnee, minESSDKnee float64 = 1.4, 1.8
+	// O3: minimum ESSD rand/seq gain and the band around 1.0 required of
+	// the SSD.
+	minESSDGain, ssdGainBand float64 = 1.15, 0.15
+	// O4: maximum ESSD mixed-throughput spread and minimum SSD spread.
+	maxESSDSpread, minSSDSpread float64 = 0.10, 0.25
+)
 
 // CheckObservation1 verdicts the latency-gap clause: small/low-QD I/O gaps
 // are tens of times, the gap shrinks as I/O scales up, and random reads
 // show the smallest gap.
-func CheckObservation1(essd, ssd *harness.LatencyGrid, th Thresholds) Check {
-	th = th.withDefaults()
+func CheckObservation1(essd, ssd *harness.LatencyGrid) Check {
 	c := Check{ID: "O1", Title: "Latency gap: tens-to-hundred× when I/Os are not scaled up"}
 	gap := func(p workload.Pattern, bs int64, qd int) float64 {
 		e, s := essd.Cell(p, bs, qd), ssd.Cell(p, bs, qd)
@@ -115,15 +92,15 @@ func CheckObservation1(essd, ssd *harness.LatencyGrid, th Thresholds) Check {
 			"%s: gap %.1fx at (4K,QD1) -> %.1fx at (256K,QD16), shrink %.1fx",
 			p, small, big, shrink))
 	}
-	if minSmall < th.MinSmallGap {
+	if minSmall < minSmallGap {
 		pass = false
 		c.Evidence = append(c.Evidence, fmt.Sprintf(
-			"FAIL: small-I/O gap %.1fx below the %.0fx clause", minSmall, th.MinSmallGap))
+			"FAIL: small-I/O gap %.1fx below the %.0fx clause", minSmall, minSmallGap))
 	}
-	if worstShrink < th.MinGapShrink {
+	if worstShrink < minGapShrink {
 		pass = false
 		c.Evidence = append(c.Evidence, fmt.Sprintf(
-			"FAIL: scaling I/O shrank the gap only %.1fx (< %.1fx)", worstShrink, th.MinGapShrink))
+			"FAIL: scaling I/O shrank the gap only %.1fx (< %.1fx)", worstShrink, minGapShrink))
 	}
 	// Random reads: the smallest gap of the four patterns.
 	rrGap := gap(workload.RandRead, smallBS, lowQD)
@@ -148,8 +125,7 @@ func CheckObservation1(essd, ssd *harness.LatencyGrid, th Thresholds) Check {
 // CheckObservation2 verdicts the GC clause: the ESSD's throughput cliff
 // under sustained random writes appears far later than the local SSD's, or
 // not at all.
-func CheckObservation2(essd, ssd *harness.SustainedResult, th Thresholds) Check {
-	th = th.withDefaults()
+func CheckObservation2(essd, ssd *harness.SustainedResult) Check {
 	c := Check{ID: "O2", Title: "GC impact appears much later or disappears"}
 	c.Evidence = append(c.Evidence, fmt.Sprintf(
 		"%s: knee at %.2fx capacity, tail %.0f MB/s, WA %.1f",
@@ -163,15 +139,15 @@ func CheckObservation2(essd, ssd *harness.SustainedResult, th Thresholds) Check 
 			"%s: knee at %.2fx capacity (throttled: %v)",
 			essd.Device, essd.KneeCapFrac, essd.Throttled))
 	}
-	ssdOK := ssd.KneeCapFrac >= 0 && ssd.KneeCapFrac <= th.MaxSSDKnee
-	essdOK := essd.KneeCapFrac < 0 || essd.KneeCapFrac >= th.MinESSDKnee
+	ssdOK := ssd.KneeCapFrac >= 0 && ssd.KneeCapFrac <= maxSSDKnee
+	essdOK := essd.KneeCapFrac < 0 || essd.KneeCapFrac >= minESSDKnee
 	if !ssdOK {
 		c.Evidence = append(c.Evidence, fmt.Sprintf(
-			"FAIL: SSD baseline knee %.2fx outside (0, %.1fx]", ssd.KneeCapFrac, th.MaxSSDKnee))
+			"FAIL: SSD baseline knee %.2fx outside (0, %.1fx]", ssd.KneeCapFrac, maxSSDKnee))
 	}
 	if !essdOK {
 		c.Evidence = append(c.Evidence, fmt.Sprintf(
-			"FAIL: ESSD knee %.2fx earlier than %.1fx", essd.KneeCapFrac, th.MinESSDKnee))
+			"FAIL: ESSD knee %.2fx earlier than %.1fx", essd.KneeCapFrac, minESSDKnee))
 	}
 	c.Passed = ssdOK && essdOK
 	return c
@@ -180,8 +156,7 @@ func CheckObservation2(essd, ssd *harness.SustainedResult, th Thresholds) Check 
 // CheckObservation3 verdicts the access-pattern clause: random writes beat
 // sequential writes on the ESSD while the SSD shows no significant
 // difference.
-func CheckObservation3(essd, ssd *harness.RandSeqResult, th Thresholds) Check {
-	th = th.withDefaults()
+func CheckObservation3(essd, ssd *harness.RandSeqResult) Check {
 	c := Check{ID: "O3", Title: "Random-write throughput beats sequential"}
 	eGain, eAt := essd.MaxGain()
 	c.Evidence = append(c.Evidence, fmt.Sprintf(
@@ -190,18 +165,18 @@ func CheckObservation3(essd, ssd *harness.RandSeqResult, th Thresholds) Check {
 	sGain, _ := ssd.MaxGain()
 	c.Evidence = append(c.Evidence, fmt.Sprintf("%s: max gain %.2fx", ssd.Device, sGain))
 	pass := true
-	if eGain < th.MinESSDGain {
+	if eGain < minESSDGain {
 		pass = false
 		c.Evidence = append(c.Evidence, fmt.Sprintf(
-			"FAIL: ESSD gain %.2fx below %.2fx", eGain, th.MinESSDGain))
+			"FAIL: ESSD gain %.2fx below %.2fx", eGain, minESSDGain))
 	}
 	// SSD gains should hover around 1.0 at every cell.
 	for _, cell := range ssd.Cells {
-		if g := cell.Gain(); g < 1-th.SSDGainBand || g > 1+th.SSDGainBand {
+		if g := cell.Gain(); g < 1-ssdGainBand || g > 1+ssdGainBand {
 			pass = false
 			c.Evidence = append(c.Evidence, fmt.Sprintf(
 				"FAIL: SSD gain %.2fx at bs=%dK QD%d outside 1±%.2f",
-				g, cell.BlockSize>>10, cell.QueueDepth, th.SSDGainBand))
+				g, cell.BlockSize>>10, cell.QueueDepth, ssdGainBand))
 			break
 		}
 	}
@@ -211,8 +186,7 @@ func CheckObservation3(essd, ssd *harness.RandSeqResult, th Thresholds) Check {
 
 // CheckObservation4 verdicts the throughput-budget clause: ESSD maximum
 // bandwidth is deterministic across read/write mixes; the SSD's is not.
-func CheckObservation4(essd, ssd *harness.MixedResult, th Thresholds) Check {
-	th = th.withDefaults()
+func CheckObservation4(essd, ssd *harness.MixedResult) Check {
 	c := Check{ID: "O4", Title: "Maximum bandwidth deterministic across access patterns"}
 	eMin, eMax := essd.MinMax()
 	sMin, sMax := ssd.MinMax()
@@ -222,16 +196,16 @@ func CheckObservation4(essd, ssd *harness.MixedResult, th Thresholds) Check {
 		fmt.Sprintf("%s: total %.2f-%.2f GB/s (spread %.1f%%)",
 			ssd.Device, sMin/1e9, sMax/1e9, ssd.Spread()*100))
 	pass := true
-	if essd.Spread() > th.MaxESSDSpread {
+	if essd.Spread() > maxESSDSpread {
 		pass = false
 		c.Evidence = append(c.Evidence, fmt.Sprintf(
-			"FAIL: ESSD spread %.1f%% above %.0f%%", essd.Spread()*100, th.MaxESSDSpread*100))
+			"FAIL: ESSD spread %.1f%% above %.0f%%", essd.Spread()*100, maxESSDSpread*100))
 	}
-	if ssd.Spread() < th.MinSSDSpread {
+	if ssd.Spread() < minSSDSpread {
 		pass = false
 		c.Evidence = append(c.Evidence, fmt.Sprintf(
 			"FAIL: SSD spread %.1f%% below %.0f%% (baseline should be pattern-sensitive)",
-			ssd.Spread()*100, th.MinSSDSpread*100))
+			ssd.Spread()*100, minSSDSpread*100))
 	}
 	c.Passed = pass
 	return c
@@ -240,8 +214,7 @@ func CheckObservation4(essd, ssd *harness.MixedResult, th Thresholds) Check {
 // CheckObservation4IOPS verdicts the footnote of Observation #4: byte
 // throughput is deterministic but the achieved IOPS varies strongly with
 // I/O size (so IOPS is not the contractually flat quantity).
-func CheckObservation4IOPS(essd *harness.IOPSResult, th Thresholds) Check {
-	th = th.withDefaults()
+func CheckObservation4IOPS(essd *harness.IOPSResult) Check {
 	c := Check{ID: "O4-IOPS", Title: "Guaranteed IOPS is non-deterministic and tied to I/O size"}
 	for _, p := range essd.Points {
 		c.Evidence = append(c.Evidence, fmt.Sprintf(
@@ -250,7 +223,7 @@ func CheckObservation4IOPS(essd *harness.IOPSResult, th Thresholds) Check {
 	spread := essd.IOPSSpread()
 	c.Evidence = append(c.Evidence, fmt.Sprintf("IOPS spread across sizes: %.0f%%", spread*100))
 	// IOPS must vary far more across sizes than the byte throughput does.
-	c.Passed = spread > 2*th.MaxESSDSpread
+	c.Passed = spread > 2*maxESSDSpread
 	if !c.Passed {
 		c.Evidence = append(c.Evidence, fmt.Sprintf(
 			"FAIL: IOPS spread %.1f%% too flat; expected size-coupled IOPS", spread*100))
@@ -260,8 +233,7 @@ func CheckObservation4IOPS(essd *harness.IOPSResult, th Thresholds) Check {
 
 // EvalOptions configure a full contract evaluation.
 type EvalOptions struct {
-	Harness    harness.Options
-	Thresholds Thresholds
+	Harness harness.Options
 	// CapMultiple is the sustained-write volume in capacity multiples
 	// (default 3, the paper's setting).
 	CapMultiple float64
@@ -297,11 +269,11 @@ func Evaluate(essdFactory, ssdFactory harness.Factory, opts EvalOptions) *Report
 		ESSD: eGrid.Device,
 		SSD:  sGrid.Device,
 		Checks: []Check{
-			CheckObservation1(eGrid, sGrid, opts.Thresholds),
-			CheckObservation2(eSus, sSus, opts.Thresholds),
-			CheckObservation3(eRS, sRS, opts.Thresholds),
-			CheckObservation4(eMix, sMix, opts.Thresholds),
-			CheckObservation4IOPS(eIOPS, opts.Thresholds),
+			CheckObservation1(eGrid, sGrid),
+			CheckObservation2(eSus, sSus),
+			CheckObservation3(eRS, sRS),
+			CheckObservation4(eMix, sMix),
+			CheckObservation4IOPS(eIOPS),
 		},
 	}
 }

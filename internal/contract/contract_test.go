@@ -50,7 +50,7 @@ func paperGrids() (essd, ssd *harness.LatencyGrid) {
 
 func TestCheckO1PassesOnPaperShape(t *testing.T) {
 	e, s := paperGrids()
-	c := CheckObservation1(e, s, Thresholds{})
+	c := CheckObservation1(e, s)
 	if !c.Passed {
 		t.Fatalf("O1 failed on paper-shaped data: %v", c.Evidence)
 	}
@@ -66,7 +66,7 @@ func TestCheckO1FailsWhenGapSmall(t *testing.T) {
 		e.Cells[i].Avg = s.Cells[i].Avg
 		e.Cells[i].P999 = s.Cells[i].P999
 	}
-	c := CheckObservation1(e, s, Thresholds{})
+	c := CheckObservation1(e, s)
 	if c.Passed {
 		t.Fatal("O1 passed with no latency gap")
 	}
@@ -75,24 +75,24 @@ func TestCheckO1FailsWhenGapSmall(t *testing.T) {
 func TestCheckO2(t *testing.T) {
 	essd := &harness.SustainedResult{Device: "essd", KneeCapFrac: 2.5, Throttled: true, WriteAmp: 1}
 	ssd := &harness.SustainedResult{Device: "ssd", KneeCapFrac: 0.95, WriteAmp: 6, TailRate: 2e8}
-	c := CheckObservation2(essd, ssd, Thresholds{})
+	c := CheckObservation2(essd, ssd)
 	if !c.Passed {
 		t.Fatalf("O2 failed: %v", c.Evidence)
 	}
 	// ESSD with no knee at all also passes ("disappears").
 	essd.KneeCapFrac = -1
-	if !CheckObservation2(essd, ssd, Thresholds{}).Passed {
+	if !CheckObservation2(essd, ssd).Passed {
 		t.Fatal("O2 failed for knee-free ESSD")
 	}
 	// ESSD knee as early as the SSD's fails.
 	essd.KneeCapFrac = 0.9
-	if CheckObservation2(essd, ssd, Thresholds{}).Passed {
+	if CheckObservation2(essd, ssd).Passed {
 		t.Fatal("O2 passed with early ESSD knee")
 	}
 	// SSD baseline without a knee invalidates the comparison.
 	essd.KneeCapFrac = 2.5
 	ssd.KneeCapFrac = -1
-	if CheckObservation2(essd, ssd, Thresholds{}).Passed {
+	if CheckObservation2(essd, ssd).Passed {
 		t.Fatal("O2 passed with knee-free SSD baseline")
 	}
 }
@@ -104,18 +104,18 @@ func TestCheckO3(t *testing.T) {
 	ssd := &harness.RandSeqResult{Device: "ssd", Cells: []harness.RandSeqCell{
 		{BlockSize: 16 << 10, QueueDepth: 32, RandBW: 2.7e9, SeqBW: 2.7e9},
 	}}
-	if c := CheckObservation3(essd, ssd, Thresholds{}); !c.Passed {
+	if c := CheckObservation3(essd, ssd); !c.Passed {
 		t.Fatalf("O3 failed: %v", c.Evidence)
 	}
 	// No ESSD gain: fail.
 	essd.Cells[0].RandBW = essd.Cells[0].SeqBW
-	if CheckObservation3(essd, ssd, Thresholds{}).Passed {
+	if CheckObservation3(essd, ssd).Passed {
 		t.Fatal("O3 passed without ESSD gain")
 	}
 	// SSD showing a large gain: fail (baseline should be flat).
 	essd.Cells[0].RandBW = 1.0e9
 	ssd.Cells[0].RandBW = 4e9
-	if CheckObservation3(essd, ssd, Thresholds{}).Passed {
+	if CheckObservation3(essd, ssd).Passed {
 		t.Fatal("O3 passed with pattern-sensitive SSD")
 	}
 }
@@ -131,12 +131,12 @@ func TestCheckO4(t *testing.T) {
 		{WriteRatioPct: 30, TotalBW: 4.3e9},
 		{WriteRatioPct: 100, TotalBW: 2.6e9},
 	}}
-	if c := CheckObservation4(essd, ssd, Thresholds{}); !c.Passed {
+	if c := CheckObservation4(essd, ssd); !c.Passed {
 		t.Fatalf("O4 failed: %v", c.Evidence)
 	}
 	// Widen the ESSD spread: fail.
 	essd.Points[0].TotalBW = 1.5e9
-	if CheckObservation4(essd, ssd, Thresholds{}).Passed {
+	if CheckObservation4(essd, ssd).Passed {
 		t.Fatal("O4 passed with non-deterministic ESSD")
 	}
 }
@@ -146,7 +146,7 @@ func TestCheckO4IOPS(t *testing.T) {
 		{BlockSize: 4 << 10, IOPS: 60000, Bytes: 0.25e9},
 		{BlockSize: 256 << 10, IOPS: 12000, Bytes: 3.0e9},
 	}}
-	c := CheckObservation4IOPS(r, Thresholds{})
+	c := CheckObservation4IOPS(r)
 	if !c.Passed {
 		t.Fatalf("size-coupled IOPS failed: %v", c.Evidence)
 	}
@@ -154,7 +154,7 @@ func TestCheckO4IOPS(t *testing.T) {
 		{BlockSize: 4 << 10, IOPS: 50000},
 		{BlockSize: 256 << 10, IOPS: 49000},
 	}}
-	if CheckObservation4IOPS(flat, Thresholds{}).Passed {
+	if CheckObservation4IOPS(flat).Passed {
 		t.Fatal("flat IOPS passed the size-coupling check")
 	}
 }

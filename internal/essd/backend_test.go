@@ -41,7 +41,7 @@ func write(t *testing.T, eng *sim.Engine, dev blockdev.Device, off, size int64) 
 // a private pair.
 func TestBackendSharedInstances(t *testing.T) {
 	_, be, va, vb := attachTwo(t)
-	if va.Cluster() != vb.Cluster() || va.Cluster() != be.Cluster() {
+	if va.Backend().Cluster() != vb.Backend().Cluster() || va.Backend().Cluster() != be.Cluster() {
 		t.Fatal("attached volumes do not share the backend cluster")
 	}
 	if va.Backend() != vb.Backend() || va.Backend() != be {
@@ -53,7 +53,7 @@ func TestBackendSharedInstances(t *testing.T) {
 
 	e1 := New(sim.NewEngine(), testConfig(), sim.NewRNG(1, 1))
 	e2 := New(sim.NewEngine(), testConfig(), sim.NewRNG(1, 1))
-	if e1.Cluster() == e2.Cluster() {
+	if e1.Backend().Cluster() == e2.Backend().Cluster() {
 		t.Fatal("single-volume constructor shared a cluster")
 	}
 	if len(e1.Backend().Volumes()) != 1 {

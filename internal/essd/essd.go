@@ -33,6 +33,7 @@ package essd
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 	"sync"
@@ -135,8 +136,9 @@ func (c VolumeConfig) Validate(chunkBytes int64) error {
 		return fmt.Errorf("essd: frontend misconfigured")
 	case chunkBytes%c.BlockSize != 0:
 		return fmt.Errorf("essd: cluster chunk not a multiple of block size")
-	case c.Weight < 0 || c.ReservedRate < 0:
-		return fmt.Errorf("essd: negative isolation weight/reservation")
+	case !(c.Weight >= 0) || !(c.ReservedRate >= 0) || math.IsInf(c.Weight, 1) || math.IsInf(c.ReservedRate, 1):
+		// NaN fails every comparison, so test for the valid range.
+		return fmt.Errorf("essd: isolation weight/reservation %v/%v must be finite and non-negative", c.Weight, c.ReservedRate)
 	}
 	return nil
 }
@@ -308,9 +310,6 @@ func newBackend(eng *sim.Engine, cfg BackendConfig, rng *sim.RNG) *Backend {
 // Engine returns the simulation engine the backend runs on.
 func (b *Backend) Engine() *sim.Engine { return b.eng }
 
-// Config returns the backend configuration.
-func (b *Backend) Config() BackendConfig { return b.cfg }
-
 // Cluster exposes the shared storage cluster (debt, node balance).
 func (b *Backend) Cluster() *cluster.Cluster { return b.cl }
 
@@ -331,36 +330,6 @@ func (b *Backend) ReleaseResources() {
 	for _, v := range b.vols {
 		v.ReleaseResources()
 	}
-}
-
-// Detach removes an attached volume from the backend and reclaims its
-// shared-infrastructure state: the flow's residual share of the pooled
-// cleaning debt is credited back to the cluster, its admission accounts
-// and per-node scheduling shares reset, and its fabric shares released,
-// so the survivors immediately see the capacity the departed tenant
-// held. Cumulative counters (cluster flow stats, fabric bytes) are kept
-// for attribution; the final per-volume accounting is returned. The
-// volume must be quiescent (no in-flight requests) and must not be used
-// afterwards — further Submit calls panic. Detach panics if v is not
-// attached to this backend.
-func (b *Backend) Detach(v *ESSD) VolumeStats {
-	idx := -1
-	for i, w := range b.vols {
-		if w == v {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		panic("essd: detach of a volume not attached to this backend")
-	}
-	st := b.statsFor(v)
-	b.cl.ReleaseFlow(v.flow)
-	b.net.ReleaseFlow(v.nf)
-	b.vols = append(b.vols[:idx], b.vols[idx+1:]...)
-	v.ReleaseResources()
-	v.detached = true
-	return st
 }
 
 // VolumeStats tallies one attached volume's use of the shared backend.
@@ -478,8 +447,6 @@ type ESSD struct {
 
 	written []uint64 // bitmap: block ever written (for debt + zero reads)
 
-	detached bool // removed from its backend; further I/O panics
-
 	counters Counters
 
 	// Request tracing (SetTracer): nil by default, costing the hot path
@@ -596,11 +563,6 @@ func (e *ESSD) Counters() Counters { return e.counters }
 // Backend returns the (possibly shared) storage backend the volume is
 // attached to.
 func (e *ESSD) Backend() *Backend { return e.be }
-
-// Cluster exposes the backend cluster for harness inspection (debt, node
-// balance). On a shared backend the cluster is shared by every attached
-// volume.
-func (e *ESSD) Cluster() *cluster.Cluster { return e.be.cl }
 
 // BackendUse returns this volume's per-volume accounting on the shared
 // backend: cluster operations, payload bytes, contributed debt, and fabric
@@ -726,9 +688,6 @@ func (e *ESSD) subCount(off, size int64) int {
 // the old closure chain did at submission time (counters, debt, limiter
 // observation) still happens here, synchronously.
 func (e *ESSD) Submit(r *blockdev.Request) {
-	if e.detached {
-		panic(fmt.Sprintf("essd: Submit on detached volume %q", e.cfg.Name))
-	}
 	blockdev.Validate(e, r)
 	r.Issued = e.eng.Now()
 	switch r.Op {

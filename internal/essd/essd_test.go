@@ -2,6 +2,7 @@ package essd
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"essdsim/internal/blockdev"
@@ -83,6 +84,13 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.FrontendLatency = nil },
 		func(c *Config) { c.Cluster.ChunkBytes = 4096 + 1 },
 		func(c *Config) { c.Cluster.Nodes = 0 },
+		// Isolation shares must be finite and non-negative; NaN passes
+		// a plain < 0 test.
+		func(c *Config) { c.Weight = -1 },
+		func(c *Config) { c.Weight = math.NaN() },
+		func(c *Config) { c.Weight = math.Inf(1) },
+		func(c *Config) { c.ReservedRate = math.NaN() },
+		func(c *Config) { c.ReservedRate = math.Inf(1) },
 	}
 	for i, mutate := range cases {
 		cfg := testConfig()
@@ -142,18 +150,18 @@ func TestWriteMarksWritten(t *testing.T) {
 func TestOverwriteAccruesDebt(t *testing.T) {
 	eng, e := newTest(t)
 	do(eng, e, blockdev.Write, 0, 1<<20)
-	if e.Cluster().Debt() != 0 {
-		t.Fatalf("first write created debt %d", e.Cluster().Debt())
+	if e.Backend().Cluster().Debt() != 0 {
+		t.Fatalf("first write created debt %d", e.Backend().Cluster().Debt())
 	}
 	// Debt is recorded synchronously at submission, before the cleaner
 	// has simulated time to drain any of it.
 	e.Submit(&blockdev.Request{Op: blockdev.Write, Offset: 0, Size: 1 << 20})
-	if debt := e.Cluster().Debt(); debt != 1<<20 {
+	if debt := e.Backend().Cluster().Debt(); debt != 1<<20 {
 		t.Fatalf("overwrite debt = %d, want 1 MiB", debt)
 	}
 	eng.Run()
 	// The cleaner drains while the write completes.
-	if debt := e.Cluster().Debt(); debt >= 1<<20 {
+	if debt := e.Backend().Cluster().Debt(); debt >= 1<<20 {
 		t.Fatalf("cleaner made no progress: debt = %d", debt)
 	}
 }
@@ -392,8 +400,8 @@ func TestSequentialWindowUsesFewNodes(t *testing.T) {
 		do(eng, e, blockdev.Write, i*4096, 4096)
 	}
 	primaries, replicas := 0, 0
-	for i := 0; i < e.Cluster().NumNodes(); i++ {
-		st := e.Cluster().NodeStats(i)
+	for i := 0; i < e.Backend().Cluster().NumNodes(); i++ {
+		st := e.Backend().Cluster().NodeStats(i)
 		if st.Writes > 0 {
 			primaries++
 		}

@@ -44,9 +44,10 @@
 //
 // A Sweep with a Cache attached memoizes successful cell results across
 // sweeps: a cell is keyed by its coordinate-hash seed plus a fingerprint
-// of every result-shaping sweep setting (Sweep.Fingerprint), so two sweeps
-// share an entry exactly when the cell would measure byte-identical
-// results. Probing workloads that revisit coordinates — a latency-SLO
+// of every result-shaping sweep setting that is not a cell coordinate
+// (the kind, time bounds, preconditioning, open-loop knobs, trace
+// content), so two sweeps share an entry exactly when the cell would
+// measure byte-identical results. Probing workloads that revisit coordinates — a latency-SLO
 // binary search, a re-run of a whole suite — skip the simulation and
 // return the stored measurement, marked CellResult.Cached. The cache is a
 // bounded LRU, safe for concurrent workers, and persists to JSON

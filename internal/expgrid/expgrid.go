@@ -269,20 +269,6 @@ func (s Sweep) withDefaults() Sweep {
 	return s
 }
 
-// Fingerprint hashes every sweep setting that shapes a cell's measurement
-// but is not part of the cell's coordinates (and hence its seed): the
-// kind, time bounds, preconditioning, open-loop knobs, and the trace
-// content. A Cache entry is shared between two sweeps only when their
-// fingerprints and the cell seeds both match. Zero-valued fields are
-// normalized to their runtime defaults first, so the returned value is
-// exactly what the runner keys the cache with.
-func (s Sweep) Fingerprint() uint64 {
-	if s.fingerprint == 0 {
-		s = s.withDefaults()
-	}
-	return s.fingerprint
-}
-
 // fp computes the fingerprint of the (already defaulted) sweep settings.
 func (s Sweep) fp() uint64 {
 	h := newCoordHash()

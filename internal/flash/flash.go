@@ -40,9 +40,6 @@ func (c Config) Dies() int { return c.Channels * c.DiesPerChannel }
 // ProgramUnitBytes returns the bytes written by one multi-plane program.
 func (c Config) ProgramUnitBytes() int64 { return int64(c.PlanesPerDie) * c.PageSize }
 
-// BlockBytes returns the bytes in one block (single plane).
-func (c Config) BlockBytes() int64 { return int64(c.PagesPerBlock) * c.PageSize }
-
 // Validate reports a descriptive error for nonsensical geometry.
 func (c Config) Validate() error {
 	switch {

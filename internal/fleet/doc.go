@@ -36,16 +36,14 @@
 //
 // The Report compares policies on the axes the paper's contract implies:
 // backends used and their utilization (packing density), fleet-wide
-// p99/p99.9 SLO violation counts against a configurable target, worst
+// p99/p99.9 SLO violation counts against the fleet's targets, worst
 // victim tail inflation versus the solo control, and per-backend pooled
 // debt and throttle counts. Format renders the policy-vs-policy table;
 // WriteBackendsCSV and WriteTenantsCSV export the schemas documented in
 // docs/formats.md.
 //
-// RunIsolationStudy crosses a fleet spec with backend QoS isolation
-// configurations (qos.Isolation): the same catalog and placements run
-// once per configuration on identical arrival streams, reporting how many
-// SLO violations each placement policy sheds when the backend scheduler
-// isolates tenants — the isolation × placement substitution the screen's
-// DebtCouplingFactor discount mirrors analytically.
+// Screen is the two-fidelity variant: it scores many candidate placements
+// analytically — discounting cross-tenant penalties by the backend
+// isolation policy's qos.Isolation.DebtCouplingFactor — and simulates
+// only the Pareto frontier.
 package fleet

@@ -42,16 +42,13 @@ type Spec struct {
 	Backends int
 	// BackendBps is one backend's nominal offered-bytes/s budget
 	// (default 900 MB/s, just under the neighbor volume class's 1 GB/s
-	// throughput budget).
+	// throughput budget). Half of it is the backend's write-absorption
+	// budget, the "credit budget" best-fit packs against.
 	BackendBps float64
-	// WriteBps is one backend's write-absorption budget in bytes/s, the
-	// "credit budget" best-fit packs against (default BackendBps/2).
-	WriteBps float64
 
-	// SLOP99 and SLOP999 are the fleet-wide tail-latency targets a
-	// tenant's whole-run p99/p99.9 is checked against (defaults 20 ms and
-	// 80 ms; set negative to disable a target).
-	SLOP99  sim.Duration
+	// SLOP999 is the fleet-wide p99.9 target a tenant's whole-run p99.9
+	// is checked against (default 80 ms; set negative to disable it). The
+	// p99 target is fixed at 20 ms.
 	SLOP999 sim.Duration
 
 	// Horizon bounds tenants whose demand leaves Ops zero: each issues
@@ -66,6 +63,13 @@ type Spec struct {
 	Workers int    // expgrid pool size (0 = GOMAXPROCS)
 	Label   string // seed decorrelation label (default "fleet")
 }
+
+// sloP99 is the fleet-wide p99 target a tenant's whole-run p99 is
+// checked against.
+const sloP99 = 20 * sim.Millisecond
+
+// writeBps is one backend's write-absorption budget in bytes/s.
+func (s Spec) writeBps() float64 { return s.BackendBps / 2 }
 
 // Normalize returns the spec with every zero-valued field resolved to
 // its documented default — the exact spec Run executes. Callers that
@@ -90,12 +94,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.BackendBps <= 0 {
 		s.BackendBps = 0.9e9
-	}
-	if s.WriteBps <= 0 {
-		s.WriteBps = s.BackendBps / 2
-	}
-	if s.SLOP99 == 0 {
-		s.SLOP99 = 20 * sim.Millisecond
 	}
 	if s.SLOP999 == 0 {
 		s.SLOP999 = 80 * sim.Millisecond
@@ -162,7 +160,7 @@ func (s Spec) constraints() Constraints {
 	return Constraints{
 		Backends:     s.Backends,
 		BackendBps:   s.BackendBps,
-		WriteBps:     s.WriteBps,
+		WriteBps:     s.writeBps(),
 		EffectiveBps: eff,
 	}
 }
@@ -430,16 +428,6 @@ type Report struct {
 	CachedCells int
 }
 
-// Policy returns the named policy's report, or nil.
-func (r *Report) Policy(name string) *PolicyReport {
-	for i := range r.Policies {
-		if r.Policies[i].Policy == name {
-			return &r.Policies[i]
-		}
-	}
-	return nil
-}
-
 // Run executes the fleet packing study: every policy places the identical
 // demand catalog, each placement materializes as independent shared-
 // backend simulations (one expgrid tenant-mix cell per distinct backend
@@ -547,8 +535,8 @@ func (s Spec) fold(defs []cellDef, refs [][]backendRef, assignments [][]int, res
 		Tenants:    len(s.Demands),
 		Backends:   s.Backends,
 		BackendBps: s.BackendBps,
-		WriteBps:   s.WriteBps,
-		SLOP99:     s.SLOP99,
+		WriteBps:   s.writeBps(),
+		SLOP99:     sloP99,
 		SLOP999:    s.SLOP999,
 		Cells:      len(results),
 	}
@@ -610,7 +598,7 @@ func (s Spec) fold(defs []cellDef, refs [][]backendRef, assignments [][]int, res
 				if ti.Throttled && ti.ThrottledAt >= 0 {
 					t.ThrottleOnset = sim.Duration(ti.ThrottledAt)
 				}
-				t.P99Violation = s.SLOP99 > 0 && t.Lat.P99 > s.SLOP99
+				t.P99Violation = t.Lat.P99 > sloP99
 				t.P999Violation = s.SLOP999 > 0 && t.Lat.P999 > s.SLOP999
 				if ctrl, ok := solo[d.signature()]; ok {
 					if ctrl.P99 > 0 {

@@ -8,7 +8,6 @@ import (
 	"essdsim/internal/sim"
 	"essdsim/internal/trace"
 	"essdsim/internal/workload"
-	"essdsim/kv"
 )
 
 // Demand describes one tenant volume the fleet must place: its identity
@@ -122,32 +121,6 @@ func DemandFromTrace(name string, recs []trace.Record, capacity, blockSize int64
 	if p.RatePerSec <= 0 {
 		return Demand{}, fmt.Errorf("fleet: trace for %s has no defined rate (%d records over %v)",
 			name, p.Ops, p.Span)
-	}
-	bs := (p.MeanSize + blockSize - 1) / blockSize * blockSize
-	if bs <= 0 {
-		bs = blockSize
-	}
-	return Demand{
-		Name:          name,
-		RatePerSec:    p.RatePerSec,
-		BlockSize:     bs,
-		WriteRatioPct: p.WriteRatioPct,
-		Arrival:       workload.Poisson,
-	}, nil
-}
-
-// DemandFromKV converts a measured KV tenant's device-level demand shape
-// (kv.ProfileOf) into a placeable tenant demand. The profile already
-// reflects the storage engine's translation of user ops into device
-// traffic — an LSM's flush/compaction streams, a page store's page-sized
-// read-modify-writes — so placement packs the load the backend will
-// actually see, not the user-facing op rate. The mean request size is
-// rounded up to whole blocks and the arrival process is Poisson, matching
-// DemandFromTrace. It errors on profiles with no defined rate (a tenant
-// that measured no device I/O).
-func DemandFromKV(name string, p kv.MixProfile, blockSize int64) (Demand, error) {
-	if p.RatePerSec <= 0 {
-		return Demand{}, fmt.Errorf("fleet: kv profile for %s has no defined device rate", name)
 	}
 	bs := (p.MeanSize + blockSize - 1) / blockSize * blockSize
 	if bs <= 0 {

@@ -28,18 +28,15 @@ type ScreenSpec struct {
 	// seed the pool; seeded single-move perturbations of those bases fill
 	// the rest.
 	Candidates int
-
-	// MaxSims caps how many frontier placements are simulated (default 8).
-	MaxSims int
 }
+
+// maxSims caps how many frontier placements Screen simulates.
+const maxSims = 8
 
 func (ss ScreenSpec) withDefaults() ScreenSpec {
 	ss.Spec = ss.Spec.withDefaults()
 	if ss.Candidates <= 0 {
 		ss.Candidates = 1024
-	}
-	if ss.MaxSims <= 0 {
-		ss.MaxSims = 8
 	}
 	return ss
 }
@@ -64,7 +61,7 @@ type ScreenReport struct {
 	Candidates int         // distinct placements scored
 	Frontier   []Candidate // Pareto frontier by (backends used, score)
 	// Simulated holds the full simulations of the frontier (at most
-	// MaxSims), one fixed-assignment "policy" per frontier candidate, in
+	// maxSims), one fixed-assignment "policy" per frontier candidate, in
 	// frontier order.
 	Simulated *Report
 }
@@ -95,7 +92,7 @@ type screenModel struct {
 func (s Spec) newScreenModel() screenModel {
 	m := screenModel{
 		backendBps: s.BackendBps,
-		writeBps:   s.WriteBps,
+		writeBps:   s.writeBps(),
 		horizon:    s.Horizon.Seconds(),
 		floor:      s.Volume.ThroughputBudget,
 		coupling:   s.Backend.Isolation.DebtCouplingFactor(s.Backend.Cluster.CleanerRate),
@@ -230,7 +227,7 @@ func splitmix64(x uint64) uint64 {
 // Screen runs the two-fidelity study: policy bases at every packing
 // density plus seeded perturbations are scored analytically, the Pareto
 // frontier on (backends used, predicted violation score) is extracted, and
-// at most MaxSims frontier placements are materialized as full
+// at most maxSims frontier placements are materialized as full
 // simulations. Deterministic for a fixed spec and seed.
 func Screen(ctx context.Context, ss ScreenSpec) (*ScreenReport, error) {
 	ss = ss.withDefaults()
@@ -323,8 +320,8 @@ func Screen(ctx context.Context, ss ScreenSpec) (*ScreenReport, error) {
 	// Materialize the frontier: one fixed-assignment policy per candidate,
 	// through the ordinary simulation path.
 	sims := rep.Frontier
-	if len(sims) > ss.MaxSims {
-		sims = sims[:ss.MaxSims]
+	if len(sims) > maxSims {
+		sims = sims[:maxSims]
 	}
 	if len(sims) > 0 {
 		spec := s

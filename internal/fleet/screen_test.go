@@ -93,7 +93,10 @@ func TestScreenCreditBoundsMatchEmpirical(t *testing.T) {
 		horizon := eng.Now().Add(sim.Duration(10 * vcfg.BurstCreditBytes / baseline * float64(sim.Second)))
 		for eng.Now() < horizon && cb.ExhaustedAt() < 0 {
 			cb.Spend(perTick)
-			eng.RunUntil(eng.Now().Add(tick))
+			next, reached := eng.Now().Add(tick), false
+			eng.At(next, func() { reached = true })
+			for !reached && eng.Step() {
+			}
 		}
 		return cb.ExhaustedAt()
 	}
@@ -181,5 +184,52 @@ func TestScreenFrontierAndVolume(t *testing.T) {
 	}
 	if !strings.Contains(b1.String(), "candidates scored") {
 		t.Errorf("missing screen summary line in output:\n%s", b1.String())
+	}
+}
+
+// TestScreenCouplingDiscount pins the screen-side honesty bound: with a
+// debt-share rate at half the cleaner rate, qos.Isolation.DebtCouplingFactor
+// halves the cross-tenant penalties, so a placement that stacks both
+// aggressors scores strictly lower (better) than under fifo while
+// single-aggressor placements score identically.
+func TestScreenCouplingDiscount(t *testing.T) {
+	base := orderingSpec().withDefaults()
+	iso := base
+	iso.Backend.Isolation = qos.Isolation{
+		Policy:        qos.IsolationWFQ,
+		DebtShareRate: iso.Backend.Cluster.CleanerRate / 2,
+	}
+
+	mFIFO := base.newScreenModel()
+	mISO := iso.newScreenModel()
+	if mFIFO.coupling != 1 {
+		t.Fatalf("fifo coupling = %g, want 1", mFIFO.coupling)
+	}
+	if mISO.coupling != 0.5 {
+		t.Fatalf("half-rate wfq coupling = %g, want 0.5", mISO.coupling)
+	}
+
+	// first-fit stacks both aggressors (positions 0 and 4) on backend 0;
+	// interference-aware separates them.
+	cons := base.constraints()
+	stacked := FirstFit{}.Place(cons, base.Demands)
+	separated := InterferenceAware{}.Place(cons, base.Demands)
+
+	sFIFO, _ := mFIFO.score(base.Demands, stacked, base.Backends)
+	sISO, _ := mISO.score(base.Demands, stacked, base.Backends)
+	if sISO >= sFIFO {
+		t.Fatalf("stacked placement: isolated score %.3f not below fifo %.3f", sISO, sFIFO)
+	}
+	pFIFO, _ := mFIFO.score(base.Demands, separated, base.Backends)
+	pISO, _ := mISO.score(base.Demands, separated, base.Backends)
+	if pISO > pFIFO {
+		t.Fatalf("separated placement: isolated score %.3f above fifo %.3f", pISO, pFIFO)
+	}
+	// The discount narrows the stacked-vs-separated spread: isolation makes
+	// dense packing relatively cheaper, which is the screen-side mirror of
+	// the simulated trade-off.
+	if (sISO - pISO) >= (sFIFO - pFIFO) {
+		t.Fatalf("penalty spread did not narrow under isolation: iso %.3f vs fifo %.3f",
+			sISO-pISO, sFIFO-pFIFO)
 	}
 }

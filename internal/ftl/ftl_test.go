@@ -347,7 +347,10 @@ func TestMappingIntegrityProperty(t *testing.T) {
 			case 0:
 				eng.Run()
 			case 1:
-				eng.RunFor(sim.Duration(rng.Int64N(int64(500 * sim.Microsecond))))
+				stop, reached := eng.Now().Add(sim.Duration(rng.Int64N(int64(500*sim.Microsecond)))), false
+				eng.At(stop, func() { reached = true })
+				for !reached && eng.Step() {
+				}
 			}
 		}
 		f.Flush(func() {})

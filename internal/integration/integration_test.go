@@ -35,8 +35,8 @@ func TestESSDWriteByteConservation(t *testing.T) {
 	})
 	var primaryBytes int64
 	var primaryOps, replOps uint64
-	for i := 0; i < e.Cluster().NumNodes(); i++ {
-		st := e.Cluster().NodeStats(i)
+	for i := 0; i < e.Backend().Cluster().NumNodes(); i++ {
+		st := e.Backend().Cluster().NodeStats(i)
 		primaryBytes += st.WriteBytes
 		primaryOps += st.Writes
 		replOps += st.ReplWrites
@@ -138,9 +138,9 @@ func TestTrimReducesESSDDebt(t *testing.T) {
 	write()
 	e.Submit(&blockdev.Request{Op: blockdev.Trim, Offset: 0, Size: 1 << 20})
 	eng.Run()
-	debtBefore := e.Cluster().Debt()
+	debtBefore := e.Backend().Cluster().Debt()
 	write() // rewrite of trimmed space: no overwrite debt
-	if got := e.Cluster().Debt(); got > debtBefore {
+	if got := e.Backend().Cluster().Debt(); got > debtBefore {
 		t.Fatalf("trimmed rewrite accrued debt: %d -> %d", debtBefore, got)
 	}
 }

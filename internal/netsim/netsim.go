@@ -106,20 +106,9 @@ func (n *Network) SetIsolation(iso qos.Isolation) {
 	n.down.SetQueue(iso.NewQueue(n.eng, q))
 }
 
-// SendUp transfers n payload bytes toward the storage cluster and invokes
-// done when the last byte (plus one hop latency) arrives.
-func (n *Network) SendUp(bytes int64, done func()) {
-	n.sendUp(-1, bytes, done)
-}
-
 func (n *Network) sendUp(flow int, bytes int64, done func()) {
 	x := n.getXfer(n.cfg.HopLatency.Sample(n.rng), done)
 	n.up.TransferFlow(flow, bytes, x.onDrain)
-}
-
-// SendDown transfers n payload bytes toward the client.
-func (n *Network) SendDown(bytes int64, done func()) {
-	n.sendDown(-1, bytes, done)
 }
 
 func (n *Network) sendDown(flow int, bytes int64, done func()) {
@@ -153,12 +142,6 @@ func (n *Network) InstallProbes(p *obs.Prober) {
 	p.Add("net/up/backlog_s", func() float64 { return n.up.Backlog().Seconds() })
 	p.Add("net/down/backlog_s", func() float64 { return n.down.Backlog().Seconds() })
 }
-
-// UplinkBacklog returns the current queueing delay on the uplink.
-func (n *Network) UplinkBacklog() sim.Duration { return n.up.Backlog() }
-
-// DownlinkBacklog returns the current queueing delay on the downlink.
-func (n *Network) DownlinkBacklog() sim.Duration { return n.down.Backlog() }
 
 // MovedUp returns total bytes sent toward the cluster.
 func (n *Network) MovedUp() int64 { return n.up.Moved() }
@@ -194,16 +177,6 @@ func (n *Network) NewFlowQoS(name string, weight, reservedBps float64) *Flow {
 	n.up.SetFlow(f.id, weight, reservedBps)
 	n.down.SetFlow(f.id, weight, reservedBps)
 	return f
-}
-
-// ReleaseFlow resets a departed flow's scheduling shares on both fabric
-// pipes to the inert defaults (weight 1, no reservation), so the capacity
-// a detached volume held under wfq/reservation is redistributed to the
-// survivors. The flow's byte counters are kept — departed traffic remains
-// attributable — but the flow must not send after release.
-func (n *Network) ReleaseFlow(f *Flow) {
-	n.up.SetFlow(f.id, 1, 0)
-	n.down.SetFlow(f.id, 1, 0)
 }
 
 // Name returns the flow's tag.

@@ -3,6 +3,7 @@ package netsim
 import (
 	"testing"
 
+	"essdsim/internal/obs"
 	"essdsim/internal/sim"
 )
 
@@ -18,7 +19,7 @@ func TestSendUpTiming(t *testing.T) {
 	eng := sim.NewEngine()
 	n := testNet(eng)
 	var at sim.Time
-	n.SendUp(1e6, func() { at = eng.Now() }) // 1 MB at 1 GB/s = 1 ms, + 50µs hop
+	n.NewFlow("t").SendUp(1e6, func() { at = eng.Now() }) // 1 MB at 1 GB/s = 1 ms, + 50µs hop
 	eng.Run()
 	want := sim.Time(sim.Millisecond + 50*sim.Microsecond)
 	if at != want {
@@ -33,7 +34,7 @@ func TestSendDownUsesDownlink(t *testing.T) {
 	eng := sim.NewEngine()
 	n := testNet(eng)
 	var at sim.Time
-	n.SendDown(1e6, func() { at = eng.Now() }) // 1 MB at 2 GB/s = 0.5 ms + hop
+	n.NewFlow("t").SendDown(1e6, func() { at = eng.Now() }) // 1 MB at 2 GB/s = 0.5 ms + hop
 	eng.Run()
 	want := sim.Time(sim.Millisecond/2 + 50*sim.Microsecond)
 	if at != want {
@@ -44,9 +45,10 @@ func TestSendDownUsesDownlink(t *testing.T) {
 func TestDirectionsIndependent(t *testing.T) {
 	eng := sim.NewEngine()
 	n := testNet(eng)
+	f := n.NewFlow("t")
 	var up, down sim.Time
-	n.SendUp(1e6, func() { up = eng.Now() })
-	n.SendDown(1e6, func() { down = eng.Now() })
+	f.SendUp(1e6, func() { up = eng.Now() })
+	f.SendDown(1e6, func() { down = eng.Now() })
 	eng.Run()
 	// Full duplex: downlink traffic does not queue behind uplink.
 	if down > up {
@@ -59,8 +61,8 @@ func TestUplinkSerializes(t *testing.T) {
 	eng := sim.NewEngine()
 	n := testNet(eng)
 	var second sim.Time
-	n.SendUp(1e6, nil)
-	n.SendUp(1e6, func() { second = eng.Now() })
+	n.NewFlow("a").SendUp(1e6, nil)
+	n.NewFlow("b").SendUp(1e6, func() { second = eng.Now() })
 	eng.Run()
 	if second < sim.Time(2*sim.Millisecond) {
 		t.Fatalf("second transfer at %v, want >= 2ms", sim.Duration(second))
@@ -81,17 +83,25 @@ func TestHop(t *testing.T) {
 	}
 }
 
+// TestBacklogs reads each direction's committed queueing delay through
+// the fabric's probe gauges.
 func TestBacklogs(t *testing.T) {
 	eng := sim.NewEngine()
 	n := testNet(eng)
-	n.SendUp(1e6, nil)
-	if n.UplinkBacklog() <= 0 {
-		t.Fatal("uplink backlog not visible")
-	}
-	if n.DownlinkBacklog() != 0 {
-		t.Fatal("downlink backlog should be zero")
-	}
+	p := obs.NewProber(100 * sim.Microsecond)
+	n.InstallProbes(p)
+	p.Attach(eng)
+	n.NewFlow("t").SendUp(1e6, nil) // 1 ms of uplink backlog
 	eng.Run()
+	up, down := p.Series("net/up/backlog_s"), p.Series("net/down/backlog_s")
+	if len(up) == 0 || up[0].V <= 0 {
+		t.Fatalf("uplink backlog not visible: %v", up)
+	}
+	for _, pt := range down {
+		if pt.V != 0 {
+			t.Fatalf("downlink backlog %v at %v, want zero", pt.V, pt.T)
+		}
+	}
 }
 
 func TestJitteredHops(t *testing.T) {

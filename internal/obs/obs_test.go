@@ -49,7 +49,7 @@ func TestTracerNilSafety(t *testing.T) {
 	var p *Prober
 	p.Add("g", func() float64 { return 0 })
 	p.Attach(sim.NewEngine())
-	if p.Samples() != 0 || p.Series("g") != nil || p.Names() != nil || p.Interval() != 0 {
+	if p.Series("g") != nil {
 		t.Fatal("nil prober is not inert")
 	}
 	var c *Config
@@ -173,8 +173,8 @@ func TestProberSampling(t *testing.T) {
 	// Ticks at 10, 20, 30 µs fire before the workload event; the tick due
 	// at 40 µs is a daemon and is abandoned when the workload drains.
 	s := p.Series("gauge")
-	if len(s) != 3 || p.Samples() != 3 {
-		t.Fatalf("got %d samples, want 3: %v", p.Samples(), s)
+	if len(s) != 3 {
+		t.Fatalf("got %d samples, want 3: %v", len(s), s)
 	}
 	if eng.Now() != sim.Time(35*sim.Microsecond) {
 		t.Fatalf("probe tick extended the run to %v", sim.Duration(eng.Now()))

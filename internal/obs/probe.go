@@ -38,14 +38,6 @@ func NewProber(interval sim.Duration) *Prober {
 	return &Prober{interval: interval}
 }
 
-// Interval returns the sampling cadence.
-func (p *Prober) Interval() sim.Duration {
-	if p == nil {
-		return 0
-	}
-	return p.interval
-}
-
 // Add registers a named gauge. Registration order fixes the sample and
 // export order. Nil-receiver no-op, so subsystems install their probes
 // unconditionally.
@@ -83,22 +75,6 @@ func (p *Prober) tick() {
 	if p.eng.Live() > 0 {
 		p.eng.ScheduleDaemon(p.interval, p.tickFn)
 	}
-}
-
-// Names returns the registered gauge names in registration order.
-func (p *Prober) Names() []string {
-	if p == nil {
-		return nil
-	}
-	return p.names
-}
-
-// Samples returns the number of recorded ticks.
-func (p *Prober) Samples() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.times)
 }
 
 // Point is one (time, value) sample of a probe series.

@@ -158,16 +158,6 @@ func (c *CreditBucket) settle(spendAboveBase float64) {
 	}
 }
 
-// RateNow returns the rate (bytes/s) the volume currently sustains: the
-// burst ceiling while credits remain, baseline otherwise.
-func (c *CreditBucket) RateNow() float64 {
-	c.settle(0)
-	if c.credits > 0 {
-		return c.burst
-	}
-	return c.baseline
-}
-
 // Acquire serializes n bytes through the credit-limited rate: the bytes
 // queue behind all previously acquired bytes, move at the burst rate while
 // credits last and at baseline after, and done fires when the last byte

@@ -16,10 +16,10 @@
 //   - Isolation selects the per-tenant scheduling policy of a shared
 //     backend (fifo, wfq, reservation) and its knobs (DRR quantum,
 //     debt-share rate/burst). NewQueue builds the matching sim.FlowQueue
-//     for every backend contention point, and the analytic accessors
-//     (GuaranteedShare, DebtCouplingFactor) give the fleet screen
-//     closed-form bounds on what the policy guarantees; docs/isolation.md
-//     documents the end-to-end surface.
+//     for every backend contention point, and DebtCouplingFactor gives
+//     the fleet screen a closed-form bound on how much of a neighbour's
+//     cleaning debt the policy lets through; docs/isolation.md documents
+//     the end-to-end surface.
 //
 // # Model assumptions
 //

@@ -38,9 +38,6 @@ func (p IsolationPolicy) String() string {
 	return fmt.Sprintf("IsolationPolicy(%d)", uint8(p))
 }
 
-// IsolationPolicyNames lists the valid ParseIsolationPolicy inputs.
-func IsolationPolicyNames() []string { return []string{"fifo", "wfq", "reservation"} }
-
 // ParseIsolationPolicy maps a flag name to its policy, with a
 // descriptive error naming the valid set for anything else.
 func ParseIsolationPolicy(name string) (IsolationPolicy, error) {
@@ -109,36 +106,6 @@ func (i Isolation) NewQueue(eng *sim.Engine, quantum int64) sim.FlowQueue {
 // signatures match.
 func (i Isolation) Signature() string {
 	return fmt.Sprintf("%s/q%d/sr%g/sb%g", i.Policy, i.QuantumOrDefault(), i.DebtShareRate, i.DebtShareBurst)
-}
-
-// GuaranteedShare is the analytic lower bound on the fraction of one
-// contention point's capacity a flow is guaranteed when every flow is
-// backlogged: zero under fifo (arrival order grants nothing), the
-// weight share under wfq, and the reserved fraction (topped up by the
-// weight share of the unreserved remainder) under reservation. The
-// fleet screen uses it to discount cross-tenant damage honestly rather
-// than assuming isolation fixes everything.
-func (i Isolation) GuaranteedShare(weight, totalWeight, reservedFrac float64) float64 {
-	if weight <= 0 {
-		weight = 1
-	}
-	switch i.Policy {
-	case IsolationWFQ:
-		if totalWeight <= 0 {
-			return 0
-		}
-		return weight / totalWeight
-	case IsolationReservation:
-		share := reservedFrac
-		if share > 1 {
-			share = 1
-		}
-		if totalWeight > 0 {
-			share += (1 - share) * weight / totalWeight
-		}
-		return share
-	}
-	return 0
 }
 
 // DebtCouplingFactor is the analytic fraction of a neighbour's excess

@@ -48,9 +48,6 @@ func NewTokenBucket(eng *sim.Engine, rate, burst float64) *TokenBucket {
 	return b
 }
 
-// Rate returns the current fill rate (tokens/s).
-func (b *TokenBucket) Rate() float64 { return b.rate }
-
 // SetRate changes the fill rate — the flow limiter's lever.
 func (b *TokenBucket) SetRate(rate float64) {
 	if rate <= 0 {
@@ -61,14 +58,8 @@ func (b *TokenBucket) SetRate(rate float64) {
 	b.kick()
 }
 
-// Granted returns the total tokens handed out.
-func (b *TokenBucket) Granted() float64 { return b.granted }
-
 // StallTime returns the cumulative time requests spent waiting for tokens.
 func (b *TokenBucket) StallTime() sim.Duration { return b.stalled }
-
-// QueueLen returns the number of requests waiting for tokens.
-func (b *TokenBucket) QueueLen() int { return len(b.waiters) - b.whead }
 
 func (b *TokenBucket) refill() {
 	now := b.eng.Now()

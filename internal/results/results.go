@@ -1,8 +1,7 @@
 // Package results renders experiment measurements as machine-readable
 // tables for plotting and downstream analysis. A Table is an ordered list
-// of named columns plus string rows; WriteCSV and WriteJSON emit it as
-// RFC 4180 CSV (header row first) or as a JSON array of objects with keys
-// in column order. All value formatting goes through the helpers in this
+// of named columns plus string rows; WriteCSV emits it as RFC 4180 CSV
+// (header row first). All value formatting goes through the helpers in this
 // package, which are locale-free and deterministic — two runs that measure
 // identical numbers serialize to identical bytes, which is what lets the
 // sweep cache promise byte-identical warm re-runs.
@@ -56,34 +55,6 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// WriteJSON emits the table as a JSON array of objects, one per row, with
-// keys in column order. Values stay strings, exactly as they appear in the
-// CSV form, so the two encodings carry identical data.
-func (t *Table) WriteJSON(w io.Writer) error {
-	if _, err := io.WriteString(w, "[\n"); err != nil {
-		return err
-	}
-	for i, row := range t.Rows {
-		sep := ","
-		if i == len(t.Rows)-1 {
-			sep = ""
-		}
-		line := "  {"
-		for j, col := range t.Columns {
-			if j > 0 {
-				line += ","
-			}
-			line += strconv.Quote(col) + ":" + strconv.Quote(row[j])
-		}
-		line += "}" + sep + "\n"
-		if _, err := io.WriteString(w, line); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, "]\n")
-	return err
 }
 
 // Float formats a float64 with the shortest representation that

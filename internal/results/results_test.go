@@ -2,14 +2,12 @@ package results
 
 import (
 	"bytes"
-	"encoding/json"
-	"strings"
 	"testing"
 
 	"essdsim/internal/sim"
 )
 
-func TestTableCSVAndJSON(t *testing.T) {
+func TestTableCSV(t *testing.T) {
 	tab := NewTable("t", "a", "b")
 	tab.AddRow("1", "x,y") // comma forces CSV quoting
 	tab.AddRow(Float(0.1), Seconds(-sim.Second))
@@ -23,21 +21,6 @@ func TestTableCSVAndJSON(t *testing.T) {
 		t.Fatalf("CSV = %q, want %q", csvBuf.String(), want)
 	}
 
-	var jsonBuf bytes.Buffer
-	if err := tab.WriteJSON(&jsonBuf); err != nil {
-		t.Fatal(err)
-	}
-	var rows []map[string]string
-	if err := json.Unmarshal(jsonBuf.Bytes(), &rows); err != nil {
-		t.Fatalf("WriteJSON produced invalid JSON: %v\n%s", err, jsonBuf.String())
-	}
-	if len(rows) != 2 || rows[0]["b"] != "x,y" || rows[1]["a"] != "0.1" {
-		t.Fatalf("JSON rows = %+v", rows)
-	}
-	// Keys appear in column order, not alphabetical-by-marshal.
-	if !strings.Contains(jsonBuf.String(), `"a":"1","b":"x,y"`) {
-		t.Fatalf("JSON keys not in column order:\n%s", jsonBuf.String())
-	}
 }
 
 func TestAddRowArityPanics(t *testing.T) {

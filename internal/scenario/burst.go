@@ -38,8 +38,7 @@ type BurstSweep struct {
 	Cache *expgrid.Cache
 
 	Seed    uint64
-	Workers int    // expgrid pool size (0 = GOMAXPROCS)
-	Label   string // seed decorrelation label (default "burst")
+	Workers int // expgrid pool size (0 = GOMAXPROCS)
 
 	// OnProgress, when non-nil, receives one expgrid.Progress per
 	// completed cell (elapsed/ETA and cached count included). Invoked
@@ -65,9 +64,6 @@ func (s BurstSweep) withDefaults() BurstSweep {
 	}
 	if s.Ops == 0 {
 		s.Ops = 12000
-	}
-	if s.Label == "" {
-		s.Label = "burst"
 	}
 	return s
 }
@@ -232,7 +228,7 @@ func RunBurst(ctx context.Context, s BurstSweep) (*BurstReport, error) {
 		Cache:          s.Cache,
 		DecodeInfo:     DecodeCreditInfo,
 		Seed:           s.Seed,
-		Label:          s.Label,
+		Label:          "burst", // seed decorrelation label
 	}
 	results, err := expgrid.Runner{Workers: s.Workers, OnProgress: s.OnProgress}.Run(ctx, sw)
 	if err != nil {

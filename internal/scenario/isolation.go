@@ -14,20 +14,11 @@ import (
 // Every variant reuses the base sweep's seed and label, so cell seeds —
 // and hence every tenant's arrival draws — are identical across policies:
 // the comparison isolates pure scheduling effects. The base sweep's
-// Isolation.Policy is overridden per variant; its other isolation knobs
-// (quantum, debt-share shaping, victim weight/reservation) carry over.
+// Isolation.Policy is overridden per variant (fifo, wfq, reservation);
+// its other isolation knobs (quantum, debt-share shaping, victim
+// weight/reservation) carry over.
 type IsolationComparison struct {
-	Sweep    NeighborSweep
-	Policies []qos.IsolationPolicy // default fifo, wfq, reservation
-}
-
-func (c IsolationComparison) withDefaults() IsolationComparison {
-	if len(c.Policies) == 0 {
-		c.Policies = []qos.IsolationPolicy{
-			qos.IsolationFIFO, qos.IsolationWFQ, qos.IsolationReservation,
-		}
-	}
-	return c
+	Sweep NeighborSweep
 }
 
 // IsolationVariant is one policy's complete neighbor suite outcome plus
@@ -59,9 +50,8 @@ type IsolationReport struct {
 // on the expgrid worker pool and folds the per-policy worst cases.
 // Results are deterministic and identical for any worker count.
 func RunIsolationComparison(ctx context.Context, c IsolationComparison) (*IsolationReport, error) {
-	c = c.withDefaults()
 	rep := &IsolationReport{}
-	for _, p := range c.Policies {
+	for _, p := range []qos.IsolationPolicy{qos.IsolationFIFO, qos.IsolationWFQ, qos.IsolationReservation} {
 		s := c.Sweep
 		s.Isolation.Policy = p
 		nr, err := RunNeighbor(ctx, s)

@@ -110,7 +110,7 @@ func TestNeighborObsByteIdentity(t *testing.T) {
 			t.Fatal("nil capture")
 		}
 		spans += len(cap.Tracer.Spans())
-		if cap.Prober.Samples() == 0 {
+		if len(cap.Prober.Series("cluster/debt_bytes")) == 0 {
 			t.Fatalf("capture %s collected no probe samples", cap.Label)
 		}
 	}

@@ -35,9 +35,6 @@ const (
 // Seconds returns the duration as a floating-point number of seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
-// Micros returns the duration as a floating-point number of microseconds.
-func (d Duration) Micros() float64 { return float64(d) / float64(Microsecond) }
-
 // String formats the duration with an adaptive unit, e.g. "333µs" or "1.4ms".
 func (d Duration) String() string {
 	switch {
@@ -373,25 +370,3 @@ func (e *Engine) Run() {
 		}
 	}
 }
-
-// RunUntil executes events with timestamps <= t, then sets the clock to t.
-// Events scheduled exactly at t are executed.
-func (e *Engine) RunUntil(t Time) {
-	for {
-		if e.rhead < len(e.ready) {
-			// Ready events are always at the current time, which is <= t.
-			e.Step()
-			continue
-		}
-		if len(e.heap) == 0 || e.heap[0].at > t {
-			break
-		}
-		e.Step()
-	}
-	if e.now < t {
-		e.now = t
-	}
-}
-
-// RunFor advances the simulation by d from the current time.
-func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }

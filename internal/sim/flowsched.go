@@ -1,7 +1,5 @@
 package sim
 
-import "sort"
-
 // FlowQueue is the pluggable per-flow scheduler behind Server and Pipe:
 // when installed (SetQueue), work that cannot start immediately is pushed
 // here keyed by flow id, and the resource pops the next item to serve
@@ -175,32 +173,11 @@ func (d *DRRQueue) Pop() (int64, func(), bool) {
 	}
 }
 
-// FlowIDs returns every flow id the queue has seen, ascending — a
-// stable iteration order for observability probes over the unordered
-// flow map.
-func (d *DRRQueue) FlowIDs() []int {
-	ids := make([]int, 0, len(d.flows))
-	for id := range d.flows {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
 // FlowDeficit returns a flow's current DRR deficit counter in cost
 // units (0 for unknown flows). Read-only.
 func (d *DRRQueue) FlowDeficit(id int) float64 {
 	if f := d.flows[id]; f != nil {
 		return f.deficit
-	}
-	return 0
-}
-
-// FlowQueued returns the number of items a flow has waiting (0 for
-// unknown flows). Read-only.
-func (d *DRRQueue) FlowQueued(id int) int {
-	if f := d.flows[id]; f != nil {
-		return f.qlen()
 	}
 	return 0
 }

@@ -154,15 +154,3 @@ func (m Mixture) Mean() Duration {
 	}
 	return Duration(acc / total)
 }
-
-// Shifted adds a constant offset to every sample of Base.
-type Shifted struct {
-	Offset Duration
-	Base   Dist
-}
-
-// Sample implements Dist.
-func (s Shifted) Sample(r *RNG) Duration { return s.Offset + s.Base.Sample(r) }
-
-// Mean implements Dist.
-func (s Shifted) Mean() Duration { return s.Offset + s.Base.Mean() }

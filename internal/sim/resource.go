@@ -14,8 +14,6 @@ type Server struct {
 	busy     int
 	queue    []serverJob // FIFO ring: live jobs are queue[qhead:]
 	qhead    int
-	served   uint64
-	busyAcc  Duration  // accumulated slot-busy time, for utilization
 	finishFn func(any) // bound finish method, allocated once per server
 
 	sched FlowQueue // nil = FIFO on the original code path
@@ -69,12 +67,6 @@ func (s *Server) QueueLen() int {
 // Busy returns the number of occupied service slots.
 func (s *Server) Busy() int { return s.busy }
 
-// Served returns the number of completed visits.
-func (s *Server) Served() uint64 { return s.served }
-
-// BusyTime returns total accumulated slot-busy time across all visits.
-func (s *Server) BusyTime() Duration { return s.busyAcc }
-
 // Visit requests service of the given duration. done is invoked when service
 // completes (after any queueing delay). done may be nil.
 func (s *Server) Visit(service Duration, done func()) {
@@ -112,7 +104,6 @@ func (s *Server) VisitFlow(flow int, service Duration, done func()) {
 
 func (s *Server) start(service Duration, done func()) {
 	s.busy++
-	s.busyAcc += service
 	// The completion event reuses the server's bound finish method with the
 	// visit's done callback as the event argument — no closure per visit.
 	s.eng.ScheduleCall(service, s.finishFn, done)
@@ -120,7 +111,6 @@ func (s *Server) start(service Duration, done func()) {
 
 func (s *Server) finish(arg any) {
 	s.busy--
-	s.served++
 	if done := arg.(func()); done != nil {
 		done()
 	}
@@ -189,9 +179,6 @@ func NewPipe(eng *Engine, name string, bytesPerSec float64) *Pipe {
 // Name returns the pipe's diagnostic name.
 func (p *Pipe) Name() string { return p.name }
 
-// Bandwidth returns the pipe bandwidth in bytes per second.
-func (p *Pipe) Bandwidth() float64 { return p.bps }
-
 // Moved returns the total bytes transferred.
 func (p *Pipe) Moved() int64 { return p.moved }
 
@@ -215,10 +202,6 @@ func (p *Pipe) SetQueue(q FlowQueue) {
 		p.finishFn = p.finishTransfer
 	}
 }
-
-// Scheduler returns the installed flow scheduler (nil under FIFO) so
-// observability probes can snapshot per-flow deficits and tokens.
-func (p *Pipe) Scheduler() FlowQueue { return p.sched }
 
 // SetFlow forwards a flow's scheduling parameters to the installed
 // scheduler (no-op without one).

@@ -102,12 +102,9 @@ type Search struct {
 
 	// Horizon is each probe's offered timeline span in virtual time
 	// (default 6 s): a probe at rate r issues about r×Horizon requests,
-	// clamped to [MinOps, MaxOps] (defaults 1000 and 60000).
-	Horizon        sim.Duration
-	MinOps, MaxOps uint64
-
-	// Window is the latency-percentile window width (default 100 ms).
-	Window sim.Duration
+	// clamped to [minOps, MaxOps] (MaxOps default 60000).
+	Horizon sim.Duration
+	MaxOps  uint64
 
 	// Cache, when non-nil, memoizes probe cells; repeated coordinates
 	// (endpoints shared by the pre/post searches, warm re-runs) skip the
@@ -116,13 +113,19 @@ type Search struct {
 
 	Precondition expgrid.Precond // default PrecondFull
 	Seed         uint64
-	Label        string // seed decorrelation label (default "slo")
 
 	// Variant feeds each probe cell's cache variant (expgrid.Sweep.Variant):
 	// device configurations that must not share cache entries but must keep
 	// identical probe seeds — backend QoS isolation, chiefly — set it.
 	Variant string
 }
+
+// minOps is the fewest requests a probe issues, and window the width of
+// the windows its latency percentiles are taken over.
+const (
+	minOps = 1000
+	window = 100 * sim.Millisecond
+)
 
 func (s Search) withDefaults() Search {
 	if s.BlockSize <= 0 {
@@ -134,23 +137,14 @@ func (s Search) withDefaults() Search {
 	if s.MaxRate <= 0 {
 		s.MaxRate = 4000
 	}
-	if s.Tolerance <= 0 {
+	if s.Tolerance == 0 {
 		s.Tolerance = (s.MaxRate - s.MinRate) / 64
 	}
 	if s.Horizon <= 0 {
 		s.Horizon = 6 * sim.Second
 	}
-	if s.MinOps == 0 {
-		s.MinOps = 1000
-	}
 	if s.MaxOps == 0 {
 		s.MaxOps = 60000
-	}
-	if s.Window <= 0 {
-		s.Window = 100 * sim.Millisecond
-	}
-	if s.Label == "" {
-		s.Label = "slo"
 	}
 	return s
 }
@@ -164,6 +158,9 @@ func (s Search) Validate() error {
 		return fmt.Errorf("slo: search has no latency target")
 	case s.MinRate >= s.MaxRate:
 		return fmt.Errorf("slo: rate range [%v, %v] is empty", s.MinRate, s.MaxRate)
+	case !(s.Tolerance >= 0) || math.IsInf(s.Tolerance, 1):
+		// 0 means the default; NaN fails every comparison.
+		return fmt.Errorf("slo: tolerance %v must be finite and non-negative", s.Tolerance)
 	case s.Pattern == workload.Mixed && (s.WriteRatioPct < 0 || s.WriteRatioPct > 100):
 		return fmt.Errorf("slo: write ratio %d%% out of [0, 100]", s.WriteRatioPct)
 	}
@@ -332,8 +329,8 @@ func Run(ctx context.Context, s Search) (*Report, error) {
 // probe runs one open-loop cell at the rate and folds it into a Probe.
 func (s Search) probe(ctx context.Context, rate float64) (*Probe, string, scenario.CreditInfo, error) {
 	ops := uint64(rate * s.Horizon.Seconds())
-	if ops < s.MinOps {
-		ops = s.MinOps
+	if ops < minOps {
+		ops = minOps
 	}
 	if ops > s.MaxOps {
 		ops = s.MaxOps
@@ -346,14 +343,14 @@ func (s Search) probe(ctx context.Context, rate float64) (*Probe, string, scenar
 		Arrivals:              []workload.Arrival{s.Arrival},
 		RatesPerSec:           []float64{rate},
 		OpenOps:               ops,
-		OpenSampleInterval:    s.Window,
+		OpenSampleInterval:    window,
 		OpenWindowPercentiles: true,
 		Precondition:          s.Precondition,
 		Inspect:               scenario.InspectCredits,
 		Cache:                 s.Cache,
 		DecodeInfo:            scenario.DecodeCreditInfo,
 		Seed:                  s.Seed,
-		Label:                 s.Label,
+		Label:                 "slo", // seed decorrelation label
 		Variant:               s.Variant,
 	}
 	if s.Pattern == workload.Mixed {

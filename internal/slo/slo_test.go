@@ -3,7 +3,9 @@ package slo
 import (
 	"bytes"
 	"context"
+	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"essdsim/internal/blockdev"
@@ -198,5 +200,19 @@ func TestSearchValidate(t *testing.T) {
 	s.MinRate, s.MaxRate = 100, 100
 	if _, err := Run(context.Background(), s); err == nil {
 		t.Fatal("want error for empty rate range")
+	}
+	// A tolerance must be a finite non-negative width: NaN would probe
+	// only MinRate, and a negative one would silently take the default.
+	// Zero means the default.
+	s.MinRate, s.MaxRate = 100, 4000
+	for _, tol := range []float64{math.NaN(), math.Inf(1), -1} {
+		s.Tolerance = tol
+		if _, err := Run(context.Background(), s); err == nil || !strings.Contains(err.Error(), "tolerance") {
+			t.Errorf("tolerance %v: err %v, want a tolerance error", tol, err)
+		}
+	}
+	s.Tolerance = 0
+	if err := s.Validate(); err != nil {
+		t.Errorf("zero (default) tolerance rejected: %v", err)
 	}
 }

@@ -180,7 +180,7 @@ func readResidue(t *testing.T, seed uint64) {
 			next(nil, 0)
 		}
 	}
-	s.Engine().RunUntil(sim.Time(3 * sim.Millisecond))
+	runUntil(s.Engine(), sim.Time(3*sim.Millisecond))
 	if s.inflight.n == 0 || s.cache.order.n < cfg.ReadCachePages {
 		t.Errorf("dirtying run (seed %d) left %d LPNs in flight and %d in the cache order", seed, s.inflight.n, s.cache.order.n)
 	}

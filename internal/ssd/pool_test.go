@@ -40,6 +40,15 @@ func (o outcome) equal(p outcome) bool {
 		slices.Equal(o.lat, p.lat) && o.util == p.util && o.free == p.free && o.end == p.end
 }
 
+// runUntil steps eng until a sentinel event at t fires, leaving the
+// clock at t with later events pending.
+func runUntil(eng *sim.Engine, t sim.Time) {
+	reached := false
+	eng.At(t, func() { reached = true })
+	for !reached && eng.Step() {
+	}
+}
+
 // mixedRun drives ops random 4-32 KiB writes, reads, trims and flushes
 // at queue depth 8 on s and returns what it observed. With stop > 0 it abandons
 // the run at that simulated time, leaving pages pending in the buffer and
@@ -81,7 +90,7 @@ func mixedRun(s *SSD, seed uint64, ops int, stop sim.Time) outcome {
 		submit()
 	}
 	if stop > 0 {
-		eng.RunUntil(stop)
+		runUntil(eng, stop)
 	} else {
 		eng.Run()
 		s.Submit(&blockdev.Request{Op: blockdev.Flush, OnComplete: func(r *blockdev.Request, at sim.Time) {

@@ -235,28 +235,3 @@ func TestKneeIndex(t *testing.T) {
 		t.Fatalf("flat knee = %d, want -1", k)
 	}
 }
-
-func TestWelford(t *testing.T) {
-	var w Welford
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		w.Add(x)
-	}
-	if w.N() != 8 {
-		t.Fatal("n")
-	}
-	if w.Mean() != 5 {
-		t.Fatalf("mean = %v", w.Mean())
-	}
-	if v := w.Var(); v < 4.5 || v > 4.7 {
-		t.Fatalf("var = %v", v) // sample variance = 32/7 ≈ 4.571
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Add(100)
-	c.Add(200)
-	if c.Ops != 2 || c.Bytes != 300 {
-		t.Fatalf("counter = %+v", c)
-	}
-}

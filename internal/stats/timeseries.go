@@ -137,10 +137,6 @@ func NewLatencySeriesHist(interval sim.Duration) *LatencySeries {
 	return l
 }
 
-// HasHistograms reports whether the series tracks per-bucket histograms
-// (and hence supports PercentileRange).
-func (l *LatencySeries) HasHistograms() bool { return l.trackHist }
-
 // Interval returns the bucket width.
 func (l *LatencySeries) Interval() sim.Duration { return l.interval }
 
@@ -204,21 +200,6 @@ func (l *LatencySeries) MeanRange(from, to int) sim.Duration {
 	return sum / sim.Duration(n)
 }
 
-// CountRange returns the completions recorded over buckets [from, to).
-func (l *LatencySeries) CountRange(from, to int) uint64 {
-	if from < 0 {
-		from = 0
-	}
-	if to > len(l.counts) {
-		to = len(l.counts)
-	}
-	var n uint64
-	for i := from; i < to; i++ {
-		n += l.counts[i]
-	}
-	return n
-}
-
 // PercentileRange returns the latency at quantile p over buckets [from,
 // to). It requires a series built with NewLatencySeriesHist and returns 0
 // when histograms are not tracked or the window holds no completions.
@@ -236,45 +217,4 @@ func (l *LatencySeries) PercentileRange(from, to int, p float64) sim.Duration {
 		to = len(l.hists)
 	}
 	return percentileAcross(l.hists[from:to], p)
-}
-
-// Counter is a simple monotonically increasing tally of operations and bytes.
-type Counter struct {
-	Ops   uint64
-	Bytes int64
-}
-
-// Add records one operation of n bytes.
-func (c *Counter) Add(n int64) {
-	c.Ops++
-	c.Bytes += n
-}
-
-// Welford tracks online mean and variance.
-type Welford struct {
-	n    uint64
-	mean float64
-	m2   float64
-}
-
-// Add records one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the observation count.
-func (w *Welford) N() uint64 { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the running sample variance.
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
 }

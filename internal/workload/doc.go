@@ -16,8 +16,8 @@
 //     includes that queueing delay — exactly what a deadline-driven
 //     service experiences.
 //
-//   - RunTenants drives a tenant mix: several generators (open- or
-//     closed-loop), each against its own volume, started together and
+//   - RunTenants drives a tenant mix: several open-loop generators, each
+//     against its own volume, started together and
 //     drained by ONE engine run, so their I/O interleaves event for event
 //     the way concurrent guests on a shared storage backend would. Each
 //     tenant measures its own submission-to-last-completion window. This
@@ -29,9 +29,9 @@
 //
 // Both loops run in deterministic virtual time on the device's sim.Engine;
 // identical specs and seeds reproduce identical measurements on any
-// machine and worker count. Offsets are drawn uniformly (or Zipf-skewed
-// via Hotspot) over the device or a leading Region; sequential patterns
-// wrap at the region boundary. Latency histograms are HDR-style
+// machine and worker count. Offsets are drawn uniformly over the device
+// (or, for Run, a leading Region); sequential patterns wrap at the end.
+// Latency histograms are HDR-style
 // (~3% relative resolution); open-loop results additionally carry
 // per-interval completion timelines (OpenResult.Series, LatSeries) whose
 // windows expose the before/after of a credit-exhaustion cliff, and can

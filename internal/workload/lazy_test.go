@@ -33,11 +33,8 @@ func startOpenEager(dev blockdev.Device, spec OpenSpec) func() *OpenResult {
 		Series:    stats.NewThroughputSeries(spec.SampleInterval),
 		LatSeries: newLatSeries(spec.SampleInterval),
 	}
-	region := spec.Region
-	if region == 0 {
-		region = dev.Capacity()
-	}
-	slots := region / spec.BlockSize
+	capacity := dev.Capacity()
+	slots := capacity / spec.BlockSize
 	start := eng.Now()
 	gap := sim.Duration(float64(sim.Second) / spec.RatePerSec)
 	perSecond := int(spec.RatePerSec)
@@ -74,15 +71,11 @@ func startOpenEager(dev blockdev.Device, spec OpenSpec) func() *OpenResult {
 		case SeqWrite, SeqRead:
 			off = seqOff
 			seqOff += spec.BlockSize
-			if seqOff+spec.BlockSize > region {
+			if seqOff+spec.BlockSize > capacity {
 				seqOff = 0
 			}
 		default:
-			if spec.Hotspot != nil {
-				off = spec.Hotspot.Next(rng) % slots * spec.BlockSize
-			} else {
-				off = rng.Int64N(slots) * spec.BlockSize
-			}
+			off = rng.Int64N(slots) * spec.BlockSize
 		}
 		issueAt := start.Add(at)
 		opC, offC := op, off
@@ -115,25 +108,14 @@ func startOpenEager(dev blockdev.Device, spec OpenSpec) func() *OpenResult {
 
 // runTenantsEager is RunTenants on the reference open-loop generator.
 func runTenantsEager(eng *sim.Engine, tenants []Tenant) []*TenantResult {
-	finishers := make([]func() *TenantResult, len(tenants))
+	finishers := make([]func() *OpenResult, len(tenants))
 	for i, t := range tenants {
-		i, t := i, t
-		if t.Open != nil {
-			fin := startOpenEager(t.Dev, *t.Open)
-			finishers[i] = func() *TenantResult {
-				return &TenantResult{Name: t.Name, Device: t.Dev.Name(), Open: fin()}
-			}
-		} else {
-			fin := start(t.Dev, *t.Closed)
-			finishers[i] = func() *TenantResult {
-				return &TenantResult{Name: t.Name, Device: t.Dev.Name(), Closed: fin()}
-			}
-		}
+		finishers[i] = startOpenEager(t.Dev, *t.Open)
 	}
 	eng.Run()
 	out := make([]*TenantResult, len(tenants))
-	for i, fin := range finishers {
-		out[i] = fin()
+	for i, t := range tenants {
+		out[i] = &TenantResult{Name: t.Name, Device: t.Dev.Name(), Open: finishers[i]()}
 	}
 	return out
 }
@@ -160,14 +142,16 @@ func (d *loggedDevice) Submit(r *blockdev.Request) {
 }
 
 // mixCase is one random tenant mix for the lazy/eager differential.
+// capacity picks the devices' size: small enough that sequential
+// patterns wrap within a case's arrivals.
 type mixCase struct {
-	seed    uint64
-	shape   uint8
-	pattern uint8
-	hotspot uint8
-	rate    uint32
-	count   uint16
-	tenants uint8
+	seed     uint64
+	shape    uint8
+	pattern  uint8
+	capacity uint8
+	rate     uint32
+	count    uint16
+	tenants  uint8
 }
 
 // run builds the mix on a new engine and drives it with the lazy
@@ -177,26 +161,19 @@ func (c mixCase) run(lazy bool) ([]*TenantResult, []submission, uint64, sim.Time
 	eng := sim.NewEngine()
 	r := sim.NewRNG(c.seed, 0x1a2)
 	n := 1 + int(c.tenants%4)
-	closed := -1
-	if n > 1 {
-		closed = r.IntN(n)
-	}
+	capacity := int64(16+int(c.capacity)%64) * 8192
 	var log []submission
 	tenants := make([]Tenant, n)
 	for k := range tenants {
-		var dev blockdev.Device = newTestDevice(eng, 0)
+		fake := newTestDevice(eng, 0)
+		var dev blockdev.Device = fake
 		if r.IntN(2) == 0 {
-			dev = &serialFake{fakeDevice: newTestDevice(eng, int64(r.IntN(40)))}
+			fake = newTestDevice(eng, int64(r.IntN(40)))
+			dev = &serialFake{fakeDevice: fake}
 		}
+		fake.capacity = capacity
 		tenants[k] = Tenant{Name: fmt.Sprint("t", k), Dev: &loggedDevice{dev, k, &log}}
-		if k == closed {
-			tenants[k].Closed = &Spec{
-				Pattern: RandRead, BlockSize: 4096, QueueDepth: 1 + r.IntN(4),
-				MaxOps: 1 + uint64(r.IntN(200)), Seed: c.seed + uint64(k),
-			}
-			continue
-		}
-		spec := &OpenSpec{
+		tenants[k].Open = &OpenSpec{
 			Pattern:    Pattern((int(c.pattern) + k) % 5),
 			BlockSize:  4096 << r.IntN(2),
 			WriteRatio: r.Float64(),
@@ -205,16 +182,8 @@ func (c mixCase) run(lazy bool) ([]*TenantResult, []submission, uint64, sim.Time
 			RatePerSec: 0.25 + float64(c.rate%400000)/float64(1+r.IntN(16)),
 			Arrival:    Arrival((int(c.shape) + k) % 3),
 			Count:      1 + uint64(c.count%600),
-			Region:     int64(16+r.IntN(64)) * 8192,
 			Seed:       c.seed + uint64(k),
 		}
-		switch c.hotspot % 3 {
-		case 1:
-			spec.Hotspot = NewZipf(1024, 0.99)
-		case 2:
-			spec.Hotspot = NewZipf(1024, 0)
-		}
-		tenants[k].Open = spec
 	}
 	var res []*TenantResult
 	if lazy {
@@ -226,9 +195,9 @@ func (c mixCase) run(lazy bool) ([]*TenantResult, []submission, uint64, sim.Time
 }
 
 // FuzzLazyArrivalsMatchEager checks the lazy open-loop generators against
-// the eager reference on 1–4 tenants sharing one engine (one of them
-// closed-loop when there are several), across arrival shapes, patterns,
-// hotspots, fractional rates and counts. Zero-latency devices complete on
+// the eager reference on 1–4 tenants sharing one engine, across arrival
+// shapes, patterns, device capacities (sequential patterns wrap on the
+// small ones), fractional rates and counts. Zero-latency devices complete on
 // the ready ring at an arrival's own timestamp, and serial devices queue,
 // so arrivals interleave with same-time events. The submit log, every
 // result field, the step count and the final clock must match.
@@ -239,8 +208,8 @@ func FuzzLazyArrivalsMatchEager(f *testing.F) {
 	f.Add(uint64(4), uint8(1), uint8(1), uint8(0), uint32(399999), uint16(500), uint8(3))
 	f.Add(uint64(5), uint8(2), uint8(3), uint8(1), uint32(0), uint16(7), uint8(3))
 	f.Add(uint64(6), uint8(0), uint8(4), uint8(2), uint32(250000), uint16(1), uint8(2))
-	f.Fuzz(func(t *testing.T, seed uint64, shape, pattern, hotspot uint8, rate uint32, count uint16, tenants uint8) {
-		c := mixCase{seed, shape, pattern, hotspot, rate, count, tenants}
+	f.Fuzz(func(t *testing.T, seed uint64, shape, pattern, capacity uint8, rate uint32, count uint16, tenants uint8) {
+		c := mixCase{seed, shape, pattern, capacity, rate, count, tenants}
 		wantRes, wantLog, wantSteps, wantNow := c.run(false)
 		gotRes, gotLog, gotSteps, gotNow := c.run(true)
 		if !slices.Equal(gotLog, wantLog) {

@@ -70,11 +70,6 @@ type OpenSpec struct {
 	// Count is the total number of requests to issue.
 	Count uint64
 
-	// Region restricts I/O to the first Region bytes (0 = whole device).
-	Region int64
-	// Hotspot, when non-nil, skews offsets (random patterns only).
-	Hotspot *Zipf
-
 	// SampleInterval is the bucket width of the result's completion
 	// timelines (default 10 ms).
 	SampleInterval sim.Duration
@@ -91,10 +86,6 @@ type OpenSpec struct {
 // Validate reports a descriptive error for nonsensical specs.
 func (s OpenSpec) Validate(dev blockdev.Device) error {
 	bs := int64(dev.BlockSize())
-	region := s.Region
-	if region == 0 {
-		region = dev.Capacity()
-	}
 	switch {
 	case s.BlockSize <= 0 || s.BlockSize%bs != 0:
 		return fmt.Errorf("workload: block size %d not a multiple of device block %d", s.BlockSize, bs)
@@ -104,11 +95,9 @@ func (s OpenSpec) Validate(dev blockdev.Device) error {
 		return fmt.Errorf("workload: count must be positive")
 	case s.Pattern == Mixed && (s.WriteRatio < 0 || s.WriteRatio > 1):
 		return fmt.Errorf("workload: write ratio %v out of [0,1]", s.WriteRatio)
-	case s.Region < 0 || s.Region > dev.Capacity():
-		return fmt.Errorf("workload: region %d out of range", s.Region)
-	case region < s.BlockSize:
-		// A zero-slot region would panic the offset draw (Int64N(0)).
-		return fmt.Errorf("workload: region %d smaller than one %d-byte I/O", region, s.BlockSize)
+	case s.BlockSize > dev.Capacity():
+		// A zero-slot device would panic the offset draw (Int64N(0)).
+		return fmt.Errorf("workload: device %d smaller than one %d-byte I/O", dev.Capacity(), s.BlockSize)
 	}
 	return nil
 }
@@ -214,9 +203,9 @@ type openGen struct {
 	src  ArrivalSource
 	res  *OpenResult
 
-	region, slots, seqOff int64
-	start, lastDone       sim.Time
-	outstanding           int
+	capacity, slots, seqOff int64
+	start, lastDone         sim.Time
+	outstanding             int
 
 	base uint64 // sequence number of arrival 0
 	i    uint64 // index of the pending arrival
@@ -254,13 +243,10 @@ func startOpen(dev blockdev.Device, spec OpenSpec) func() *OpenResult {
 			Series:    stats.NewThroughputSeries(spec.SampleInterval),
 			LatSeries: newLatSeries(spec.SampleInterval),
 		},
-		region: spec.Region,
-		start:  eng.Now(),
+		capacity: dev.Capacity(),
+		start:    eng.Now(),
 	}
-	if g.region == 0 {
-		g.region = dev.Capacity()
-	}
-	g.slots = g.region / spec.BlockSize
+	g.slots = g.capacity / spec.BlockSize
 	g.lastDone = g.start
 	g.base = eng.Reserve(spec.Count)
 	g.fire = g.arrive
@@ -290,15 +276,11 @@ func (g *openGen) next() {
 	case SeqWrite, SeqRead:
 		g.off = g.seqOff
 		g.seqOff += g.spec.BlockSize
-		if g.seqOff+g.spec.BlockSize > g.region {
+		if g.seqOff+g.spec.BlockSize > g.capacity {
 			g.seqOff = 0
 		}
 	default:
-		if g.spec.Hotspot != nil {
-			g.off = g.spec.Hotspot.Next(g.rng) % g.slots * g.spec.BlockSize
-		} else {
-			g.off = g.rng.Int64N(g.slots) * g.spec.BlockSize
-		}
+		g.off = g.rng.Int64N(g.slots) * g.spec.BlockSize
 	}
 	g.eng.AtSeq(g.at, g.base+g.i, g.fire, nil)
 }

@@ -15,9 +15,7 @@ func TestOpenSpecValidate(t *testing.T) {
 		{BlockSize: 1000, RatePerSec: 10, Count: 1},
 		{BlockSize: 4096, RatePerSec: 0, Count: 1},
 		{BlockSize: 4096, RatePerSec: 10, Count: 0},
-		{BlockSize: 4096, RatePerSec: 10, Count: 1, Region: 1 << 40},
-		// Zero-slot regions used to reach the offset draw and panic there.
-		{BlockSize: 8192, RatePerSec: 10, Count: 1, Region: 4096},
+		// A zero-slot device would reach the offset draw and panic there.
 		{BlockSize: 2 << 30, RatePerSec: 10, Count: 1}, // block > capacity
 		{Pattern: Mixed, WriteRatio: 1.5, BlockSize: 4096, RatePerSec: 10, Count: 1},
 		{Pattern: Mixed, WriteRatio: -0.1, BlockSize: 4096, RatePerSec: 10, Count: 1},
@@ -159,30 +157,6 @@ func TestOpenLoopPoissonJitters(t *testing.T) {
 	secs := res.Elapsed.Seconds()
 	if secs < 0.3 || secs > 0.8 {
 		t.Fatalf("poisson elapsed = %.3fs, want ≈0.5s", secs)
-	}
-}
-
-func TestOpenLoopHotspot(t *testing.T) {
-	d := newFake(10 * sim.Microsecond)
-	z := NewZipf(1<<20, 0.99)
-	RunOpen(d, OpenSpec{
-		Pattern: RandWrite, BlockSize: 4096,
-		RatePerSec: 10000, Arrival: Uniform, Count: 2000,
-		Region: 1 << 20, Hotspot: z, Seed: 5,
-	})
-	// Skewed: the top offset should repeat far more than uniform would.
-	counts := map[int64]int{}
-	for _, off := range d.offsets {
-		counts[off]++
-	}
-	max := 0
-	for _, c := range counts {
-		if c > max {
-			max = c
-		}
-	}
-	if max < 20 {
-		t.Fatalf("hottest offset seen %d times; zipf skew missing", max)
 	}
 }
 

@@ -44,35 +44,31 @@ func TestRunTenantsSoloMatchesRunOpen(t *testing.T) {
 	}
 }
 
-// TestRunTenantsMixedFamilies runs an open-loop and a closed-loop tenant
-// on one engine and checks each measures its own window.
+// TestRunTenantsMixedFamilies runs a uniform and a bursty tenant of
+// different rates on one engine and checks each measures its own window.
 func TestRunTenantsMixedFamilies(t *testing.T) {
 	eng := sim.NewEngine()
-	open := tenantSpec(4)
-	closed := Spec{
-		Pattern: RandRead, BlockSize: 4096, QueueDepth: 4,
-		MaxOps: 400, Seed: 5,
-	}
+	uniform := tenantSpec(4)
+	bursty := tenantSpec(5)
+	bursty.Arrival, bursty.RatePerSec, bursty.Count = Bursty, 400, 400
 	devA := newTestDevice(eng, 1)
 	devB := newTestDevice(eng, 2)
 	res := RunTenants(eng, []Tenant{
-		{Name: "open", Dev: devA, Open: &open},
-		{Name: "closed", Dev: devB, Closed: &closed},
+		{Name: "uniform", Dev: devA, Open: &uniform},
+		{Name: "bursty", Dev: devB, Open: &bursty},
 	})
-	if res[0].Open == nil || res[1].Closed == nil {
-		t.Fatalf("result families wrong: %+v", res)
+	for i, spec := range []OpenSpec{uniform, bursty} {
+		if res[i].Open.Ops != spec.Count {
+			t.Fatalf("%s tenant completed %d of %d", res[i].Name, res[i].Open.Ops, spec.Count)
+		}
+		if res[i].Open.Throughput() <= 0 {
+			t.Fatalf("%s tenant throughput %v", res[i].Name, res[i].Open.Throughput())
+		}
 	}
-	if res[0].Open.Ops != open.Count {
-		t.Fatalf("open tenant completed %d of %d", res[0].Open.Ops, open.Count)
-	}
-	if res[1].Closed.Ops != closed.MaxOps {
-		t.Fatalf("closed tenant completed %d of %d", res[1].Closed.Ops, closed.MaxOps)
-	}
-	if res[0].Open.Elapsed <= 0 || res[1].Closed.Elapsed <= 0 {
-		t.Fatalf("non-positive windows: %v / %v", res[0].Open.Elapsed, res[1].Closed.Elapsed)
-	}
-	if res[0].Throughput() <= 0 || res[1].Throughput() <= 0 {
-		t.Fatal("non-positive tenant throughput")
+	// 500 uniform arrivals at 5000/s span 0.1 s; 400 bursty ones at
+	// 400/s all arrive at t = 0.
+	if res[0].Open.Elapsed < 99*sim.Millisecond || res[1].Open.Elapsed >= res[0].Open.Elapsed {
+		t.Fatalf("windows not per tenant: uniform %v, bursty %v", res[0].Open.Elapsed, res[1].Open.Elapsed)
 	}
 }
 
@@ -84,7 +80,6 @@ func TestRunTenantsValidation(t *testing.T) {
 	cases := map[string][]Tenant{
 		"empty":        {},
 		"no device":    {{Name: "x", Open: &spec}},
-		"both specs":   {{Name: "x", Dev: newTestDevice(eng, 1), Open: &spec, Closed: &Spec{}}},
 		"no spec":      {{Name: "x", Dev: newTestDevice(eng, 1)}},
 		"wrong engine": {{Name: "x", Dev: newTestDevice(sim.NewEngine(), 1), Open: &spec}},
 	}

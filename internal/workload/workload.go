@@ -152,18 +152,6 @@ func (r *Result) IOPS() float64 {
 // until every outstanding I/O drains. It panics on an invalid spec (harness
 // programming error).
 func Run(dev blockdev.Device, spec Spec) *Result {
-	finish := start(dev, spec)
-	dev.Engine().Run()
-	return finish()
-}
-
-// start validates the spec (panicking on harness programming errors),
-// seeds the generator, and submits the initial queue-depth window; further
-// submissions are driven by completions. It returns a finalizer that
-// closes the measurement once the caller has drained the engine. Splitting
-// the two phases is what lets RunTenants start several generators on one
-// shared engine before a single engine run drains them all.
-func start(dev blockdev.Device, spec Spec) func() *Result {
 	if err := spec.Validate(dev); err != nil {
 		panic(err)
 	}
@@ -278,17 +266,13 @@ func start(dev blockdev.Device, spec Spec) func() *Result {
 	}
 	// For duration-bounded runs the stop condition is only observed at
 	// completions (it will panic via validation rather than hang in
-	// practice). The finalizer measures to the workload's own last
-	// completion, not the engine clock: on a shared engine another
-	// tenant's generator may keep the clock running long after this one
-	// drained.
-	return func() *Result {
-		res.Elapsed = lastDone.Sub(began)
-		if spec.Duration > 0 && res.Elapsed > spec.Duration {
-			// Exclude the drain tail from the mean-throughput window: the
-			// submission window closed at spec.Duration.
-			res.Elapsed = spec.Duration
-		}
-		return res
+	// practice). Elapsed measures to the workload's own last completion.
+	eng.Run()
+	res.Elapsed = lastDone.Sub(began)
+	if spec.Duration > 0 && res.Elapsed > spec.Duration {
+		// Exclude the drain tail from the mean-throughput window: the
+		// submission window closed at spec.Duration.
+		res.Elapsed = spec.Duration
 	}
+	return res
 }

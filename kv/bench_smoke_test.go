@@ -1,9 +1,6 @@
 package kv
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // ingestSmoke runs the canonical fixed-seed smoke ingest used by the
 // determinism test below: modest enough to stay fast, big enough to
@@ -44,9 +41,8 @@ func TestIngestDeterministicSmoke(t *testing.T) {
 			if res.Elapsed <= 0 {
 				t.Fatalf("no virtual time elapsed: %v", res.Elapsed)
 			}
-			if res.PutsPerSec() <= 0 || res.UserMBps() <= 0 {
-				t.Fatalf("rates not populated: %.1f puts/s, %.1f MB/s",
-					res.PutsPerSec(), res.UserMBps())
+			if res.PutsPerSec() <= 0 {
+				t.Fatalf("rate not populated: %.1f puts/s", res.PutsPerSec())
 			}
 			if res.Stats.DeviceWriteBytes < res.UserBytes {
 				t.Fatalf("device wrote %d bytes for %d user bytes",
@@ -109,41 +105,4 @@ func TestIngestLeavesEnginesConsistent(t *testing.T) {
 			t.Fatalf("page store read %d pages for %d puts", res.Stats.DeviceReads, res.Puts)
 		}
 	})
-}
-
-// TestIngestZipf drives the zipfian-key ingest path: a skewed ingest
-// completes every put, repeats exactly, and rewrites hot pages the page
-// store's cache still holds, so it reads fewer pages than the uniform
-// ingest of the same size. A skew outside [0, 1), NaN included, panics.
-func TestIngestZipf(t *testing.T) {
-	ingest := func(theta float64) IngestResult {
-		eng, dev := newDev(t, "essd2")
-		cfg := DefaultPageStoreConfig(dev)
-		cfg.CachePages = 32
-		return IngestRun(eng, NewPageStore(dev, cfg), IngestSpec{
-			Puts: 800, ValueSize: 1024, Concurrency: 8,
-			KeySpace: 1 << 14, Seed: 42, ZipfTheta: theta,
-		})
-	}
-	res := ingest(0.99)
-	if res.Puts != 800 || res.UserBytes != 800*1024 {
-		t.Fatalf("conservation: %+v", res)
-	}
-	if again := ingest(0.99); again != res {
-		t.Fatalf("fixed-seed zipfian ingest not deterministic:\n first %+v\nsecond %+v", res, again)
-	}
-	if uni := ingest(0); res.Stats.DeviceReads >= uni.Stats.DeviceReads {
-		t.Fatalf("zipfian ingest read %d pages, uniform %d: skew missing",
-			res.Stats.DeviceReads, uni.Stats.DeviceReads)
-	}
-	for _, theta := range []float64{math.NaN(), 1, -0.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("ZipfTheta %v accepted", theta)
-				}
-			}()
-			ingest(theta)
-		}()
-	}
 }

@@ -104,10 +104,6 @@ type ringAllocator struct {
 	bs         int64
 }
 
-func newRing(base, size, blockSize int64) *ringAllocator {
-	return &ringAllocator{base: base, size: size, bs: blockSize}
-}
-
 // alloc returns a device offset for n bytes (n must be block-aligned and
 // fit in the ring). Extents never straddle the wrap point.
 func (r *ringAllocator) alloc(n int64) int64 {

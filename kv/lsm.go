@@ -143,15 +143,6 @@ func (l *LSM) Stats() Stats { return l.stats }
 // Device implements Engine.
 func (l *LSM) Device() blockdev.Device { return l.dev }
 
-// LevelBytes returns the accumulated bytes of each level, for tests.
-func (l *LSM) LevelBytes() []int64 {
-	out := make([]int64, len(l.levels))
-	for i, lv := range l.levels {
-		out[i] = lv.bytes
-	}
-	return out
-}
-
 // Put implements Engine: the put acknowledges on memtable admission
 // (writes are durable in the real design via a group-committed WAL that
 // shares the log's sequential pattern; we fold it into the flush traffic).

@@ -249,36 +249,3 @@ func RunMix(eng *sim.Engine, tenants []MixTenant) []*MixResult {
 	}
 	return out
 }
-
-// MixProfile is the provider-visible demand shape of a measured KV
-// tenant: the device-level load its engine actually offered, suitable for
-// feeding a fleet placement study (fleet.DemandFromKV). Engines translate
-// user ops into very different device traffic — an LSM turns small puts
-// into large sequential flush/compaction streams, a page store into
-// page-sized read-modify-writes — and placement must pack the translated
-// load, not the user-level rate.
-type MixProfile struct {
-	Name string
-	// RatePerSec is the device request rate (reads + writes per second).
-	RatePerSec float64
-	// MeanSize is the mean device request size in bytes.
-	MeanSize int64
-	// WriteRatioPct is the device write percentage (0-100).
-	WriteRatioPct int
-}
-
-// ProfileOf summarizes a mix result as a device-level demand shape. The
-// zero profile is returned when the tenant measured no device I/O or no
-// elapsed time.
-func ProfileOf(r *MixResult) MixProfile {
-	p := MixProfile{Name: r.Name}
-	ios := r.Stats.DeviceWrites + r.Stats.DeviceReads
-	secs := r.Elapsed.Seconds()
-	if ios == 0 || secs <= 0 {
-		return p
-	}
-	p.RatePerSec = float64(ios) / secs
-	p.MeanSize = (r.Stats.DeviceWriteBytes + r.Stats.DeviceReadBytes) / int64(ios)
-	p.WriteRatioPct = int(math.Round(100 * float64(r.Stats.DeviceWrites) / float64(ios)))
-	return p
-}

@@ -180,33 +180,6 @@ func TestRunMixPanics(t *testing.T) {
 	})
 }
 
-func TestProfileOf(t *testing.T) {
-	eng := sim.NewEngine()
-	res := RunMix(eng, []MixTenant{mixTenantOn(t, eng, "t", baseMixSpec(51))})
-	p := ProfileOf(res[0])
-	if p.Name != "t" {
-		t.Errorf("profile name %q", p.Name)
-	}
-	ios := res[0].Stats.DeviceWrites + res[0].Stats.DeviceReads
-	if ios == 0 {
-		t.Fatal("mix measured no device I/O")
-	}
-	if p.RatePerSec <= 0 {
-		t.Errorf("device rate %v", p.RatePerSec)
-	}
-	wantSize := (res[0].Stats.DeviceWriteBytes + res[0].Stats.DeviceReadBytes) / int64(ios)
-	if p.MeanSize != wantSize {
-		t.Errorf("mean size %d, want %d", p.MeanSize, wantSize)
-	}
-	if p.WriteRatioPct < 0 || p.WriteRatioPct > 100 {
-		t.Errorf("write ratio %d%%", p.WriteRatioPct)
-	}
-	// The zero value carries through for an unmeasured tenant.
-	if z := ProfileOf(&MixResult{Name: "idle"}); z.RatePerSec != 0 || z.MeanSize != 0 {
-		t.Errorf("idle tenant profile %+v, want zero shape", z)
-	}
-}
-
 // TestLSMGetReadAmpAcrossLevels drives the LSM deep enough to populate
 // several levels and checks the read path's accounting: a deep tree costs
 // more device probes per miss than a shallow one (L0 tables + one per

@@ -131,9 +131,6 @@ func (p *PageStore) cacheTouch(page int64) (hit bool) {
 	return false
 }
 
-// cacheLen returns the number of live cache entries, for tests.
-func (p *PageStore) cacheLen() int { return len(p.cache) }
-
 // Put implements Engine: read-modify-write of the key's page, ack on the
 // page write's completion (update-in-place durability).
 func (p *PageStore) Put(key uint64, valueSize int64, done func()) {
