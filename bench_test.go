@@ -28,6 +28,7 @@ import (
 	"essdsim/internal/fleet"
 	"essdsim/internal/harness"
 	"essdsim/internal/profiles"
+	"essdsim/internal/qos"
 	"essdsim/internal/scenario"
 	"essdsim/internal/sim"
 	"essdsim/internal/ssd"
@@ -619,7 +620,7 @@ func BenchmarkNeighborSweep(b *testing.B) {
 //
 // Run: go test -bench=NeighborIsolation -benchtime=1x
 func BenchmarkNeighborIsolation(b *testing.B) {
-	policies := []essdsim.IsolationPolicy{
+	policies := []qos.IsolationPolicy{
 		essdsim.IsolationFIFO, essdsim.IsolationWFQ, essdsim.IsolationReservation,
 	}
 	for _, policy := range policies {

@@ -63,11 +63,12 @@ func packageDoc(t *testing.T, dir string) string {
 	return best
 }
 
-// reachAllow names the functions and methods that no program reaches but
-// the module keeps, each with its reason. Methods the standard library
-// calls through its own interfaces (fmt.Stringer, error and Unwrap,
-// fmt.Formatter, the JSON and text (un)marshalers, sort and heap,
-// flag.Value) are kept by stdCalled, not listed here.
+// reachAllow names the functions, methods and types that no program
+// reaches but the module keeps, each with its reason. Methods the standard
+// library calls through its own interfaces (fmt.Stringer, error and
+// Unwrap, fmt.Formatter, the JSON and text (un)marshalers, sort and heap,
+// flag.Value) are kept by stdCalled, not listed here; the types only
+// their bodies name are.
 var reachAllow = map[string]string{
 	"sim.Const.Mean":     "the sampling tests compare sim.Dist samples against Mean as the analytic reference",
 	"sim.LogNormal.Mean": "the sampling tests compare sim.Dist samples against Mean as the analytic reference",
@@ -79,6 +80,10 @@ var reachAllow = map[string]string{
 	"ftl.FTL.BufferBytes":     "ssd's pool tests check the dirtying run left data in the write buffer",
 	"ftl.FTL.Mapped":          "the integration test checks every LPN is mapped or buffered after GC churn",
 	"ftl.FTL.InBuffer":        "the integration test checks every LPN is mapped or buffered after GC churn",
+
+	"stats.histogramJSON":        "Histogram's MarshalJSON and UnmarshalJSON, which encoding/json calls, encode through it",
+	"stats.throughputSeriesJSON": "ThroughputSeries' MarshalJSON and UnmarshalJSON, which encoding/json calls, encode through it",
+	"stats.latencySeriesJSON":    "LatencySeries' MarshalJSON and UnmarshalJSON, which encoding/json calls, encode through it",
 }
 
 // setAllow names the exported struct fields that nothing assigns but the
@@ -94,8 +99,8 @@ var setAllow = map[string]string{
 // checks no output, so it is not a root.
 var rootTests = map[string]bool{"example_test.go": true, "essdsim_test.go": true}
 
-// TestReachability holds the module to two rules, type-checked over every
-// package of this module and of perfbench/.
+// TestReachability holds the module to three rules, type-checked over
+// every package of this module and of perfbench/.
 //
 // Rule 1: every function and method outside test files is reached from a
 // program. The roots are the main of every command, example and the
@@ -110,12 +115,18 @@ var rootTests = map[string]bool{"example_test.go": true, "essdsim_test.go": true
 // method: by a composite-literal key, a positional literal, =, an op=, ++
 // or --, or &x.F. A field nothing sets is a constant.
 //
+// Rule 3: every package-level type outside test files, aliases included,
+// is reached. A type is reached when a reached body, the signature of a
+// reached function or method (its receiver aside), a package-level var or
+// const declaration, or the definition of a reached type names it.
+//
 // reachAllow and setAllow hold the exceptions; an entry that no longer
 // excuses anything fails the test too.
 func TestReachability(t *testing.T) {
 	m := loadModule(t)
 	used := map[string]bool{}
-	for _, d := range m.unreached() {
+	funcs, typs := m.unreached()
+	for _, d := range funcs {
 		if m.stdCalled(d.fn) {
 			continue
 		}
@@ -124,6 +135,13 @@ func TestReachability(t *testing.T) {
 			continue
 		}
 		t.Errorf("%s: %s is reached from no program; delete it, or move it to export_test.go if only its package's tests need it", m.fset.Position(d.at), d.key)
+	}
+	for _, d := range typs {
+		if _, ok := reachAllow[d.key]; ok {
+			used[d.key] = true
+			continue
+		}
+		t.Errorf("%s: type %s is named by no program; delete it, or move it to a _test.go file if only its package's tests need it", m.fset.Position(d.at), d.key)
 	}
 	for _, f := range m.unset() {
 		if _, ok := setAllow[f.key]; ok {
@@ -312,7 +330,7 @@ func (m *module) check(path string, p *listedPkg, shared, owned []string, imp ty
 	return pkg, nil
 }
 
-// decl is one function, method or field the rules check.
+// decl is one function, method, type or field the rules check.
 type decl struct {
 	key string
 	at  token.Pos
@@ -335,15 +353,18 @@ func short(path string) string {
 	return path
 }
 
-// unreached returns rule 1's offenders in declaration order.
-func (m *module) unreached() []decl {
+// unreached returns the offenders of rules 1 and 3 in declaration order.
+func (m *module) unreached() (funcs, typs []decl) {
+	// A typesOnly node (a signature, a type definition or a const
+	// declaration) reaches only the types it names.
 	type node struct {
-		body ast.Node
-		info *types.Info
+		body      ast.Node
+		info      *types.Info
+		typesOnly bool
 	}
 	nodes := map[token.Pos][]node{}
 	byName := map[string][]token.Pos{}
-	var checked []decl
+	var checked, checkedTypes []decl
 	var roots []node
 	for _, u := range m.units {
 		root := u.pkg.ImportPath == "essdsim" && u.test && rootTests[filepath.Base(m.fset.File(u.file.Pos()).Name())]
@@ -351,21 +372,36 @@ func (m *module) unreached() []decl {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
 				pos := d.Name.Pos()
-				nodes[pos] = append(nodes[pos], node{d.Body, u.info})
+				fn := []node{{d.Type, u.info, true}, {d.Body, u.info, false}}
+				nodes[pos] = append(nodes[pos], fn...)
 				if d.Recv != nil {
 					byName[d.Name.Name] = append(byName[d.Name.Name], pos)
 				}
 				isMain := d.Name.Name == "main" && d.Recv == nil && u.pkg.Name == "main"
 				isInit := d.Name.Name == "init" && d.Recv == nil
 				if root || !u.test && (isMain || isInit) {
-					roots = append(roots, node{d.Body, u.info})
+					roots = append(roots, fn...)
 				} else if u.checked() {
 					fn := u.info.Defs[d.Name].(*types.Func)
 					checked = append(checked, decl{funcKey(fn), pos, fn})
 				}
 			case *ast.GenDecl:
-				if d.Tok == token.VAR && (root || !u.test) {
-					roots = append(roots, node{d, u.info})
+				switch {
+				case d.Tok == token.VAR && (root || !u.test):
+					roots = append(roots, node{d, u.info, false})
+				case d.Tok == token.CONST && (root || !u.test):
+					roots = append(roots, node{d, u.info, true})
+				case d.Tok == token.TYPE:
+					for _, s := range d.Specs {
+						ts := s.(*ast.TypeSpec)
+						pos := ts.Name.Pos()
+						nodes[pos] = append(nodes[pos], node{ts, u.info, true})
+						if root {
+							roots = append(roots, node{ts, u.info, true})
+						} else if u.checked() {
+							checkedTypes = append(checkedTypes, decl{key: short(u.pkg.ImportPath) + "." + ts.Name.Name, at: pos})
+						}
+					}
 				}
 			}
 		}
@@ -395,6 +431,14 @@ func (m *module) unreached() []decl {
 			continue
 		}
 		ast.Inspect(n.body, func(x ast.Node) bool {
+			if id, ok := x.(*ast.Ident); ok {
+				if tn, ok := n.info.Uses[id].(*types.TypeName); ok {
+					reach(tn.Pos())
+				}
+			}
+			if n.typesOnly {
+				return true
+			}
 			switch x := x.(type) {
 			case *ast.Ident:
 				fn, ok := n.info.Uses[x].(*types.Func)
@@ -417,13 +461,17 @@ func (m *module) unreached() []decl {
 			return true
 		})
 	}
-	var out []decl
 	for _, d := range checked {
 		if !reached[d.fn.Pos()] {
-			out = append(out, d)
+			funcs = append(funcs, d)
 		}
 	}
-	return out
+	for _, d := range checkedTypes {
+		if !reached[d.at] {
+			typs = append(typs, d)
+		}
+	}
+	return funcs, typs
 }
 
 // funcKey names a function pkg.Name and a method pkg.Type.Name.

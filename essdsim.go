@@ -75,7 +75,6 @@ import (
 	"essdsim/internal/sim"
 	"essdsim/internal/slo"
 	"essdsim/internal/ssd"
-	"essdsim/internal/stats"
 	"essdsim/internal/trace"
 	"essdsim/internal/workload"
 )
@@ -92,8 +91,6 @@ type (
 	Device = blockdev.Device
 	// Request is one asynchronous block I/O.
 	Request = blockdev.Request
-	// Op is a block operation type.
-	Op = blockdev.Op
 )
 
 // Duration units.
@@ -120,8 +117,6 @@ type (
 	WorkloadResult = workload.Result
 	// Pattern is a fio-style access pattern.
 	Pattern = workload.Pattern
-	// LatencySummary is a histogram snapshot (avg, p50, p99, p99.9, max).
-	LatencySummary = stats.Summary
 )
 
 // Access patterns.
@@ -284,14 +279,10 @@ type (
 	// Sweep declares an experiment grid: the cross product of device
 	// factories, patterns, block sizes, queue depths, and write ratios.
 	Sweep = expgrid.Sweep
-	// SweepCell is one point of a grid with its derived seed.
-	SweepCell = expgrid.Cell
 	// SweepCellResult pairs a cell with its workload measurements.
 	SweepCellResult = expgrid.CellResult
 	// SweepRunner executes a Sweep's cells on a pool of workers.
 	SweepRunner = expgrid.Runner
-	// SweepProgress reports one completed cell to a progress callback.
-	SweepProgress = expgrid.Progress
 	// NamedFactory is one value of a sweep's device axis.
 	NamedFactory = expgrid.NamedFactory
 	// SweepPrecond selects how a cell's device is prepared before
@@ -380,18 +371,13 @@ func RunNeighborScenario(ctx context.Context, s NeighborSweep) (*NeighborReport,
 // FormatNeighborReport writes the scenario report as an aligned table.
 func FormatNeighborReport(w io.Writer, r *NeighborReport) { scenario.FormatNeighbor(w, r) }
 
-// Per-tenant QoS isolation types: every contention point of the shared
-// backend (cluster streams, cleaner debt pool, fabric links) dispatches
-// through a pluggable scheduling policy, with per-volume weights and
-// reserved rates carried by VolumeConfig. The zero Isolation value is the
-// original FIFO stack, bit-for-bit.
-type (
-	// Isolation selects the backend's QoS scheduling policy and knobs.
-	Isolation = qos.Isolation
-	// IsolationPolicy names a scheduling discipline: fifo, wfq, or
-	// reservation.
-	IsolationPolicy = qos.IsolationPolicy
-)
+// Isolation selects the backend's per-tenant QoS scheduling policy and
+// knobs: every contention point of the shared backend (cluster streams,
+// cleaner debt pool, fabric links) dispatches through a pluggable
+// scheduling policy, with per-volume weights and reserved rates carried by
+// VolumeConfig. The zero Isolation value is the original FIFO stack,
+// bit-for-bit.
+type Isolation = qos.Isolation
 
 // Isolation scheduling policies.
 const (
@@ -447,8 +433,6 @@ type (
 	// templates, budgets, SLOs, epoch length) plus the churn process,
 	// placement policy, rebalancer, and migration budget.
 	ChurnSpec = churn.Spec
-	// ChurnEventKind classifies a lifecycle event.
-	ChurnEventKind = churn.EventKind
 	// ChurnEvent is one scripted lifecycle event.
 	ChurnEvent = churn.Event
 	// ChurnReport is the study outcome: the per-epoch time series, the

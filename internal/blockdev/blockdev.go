@@ -48,7 +48,9 @@ type Request struct {
 	Issued sim.Time // set by the device at submission
 
 	// OnComplete is invoked exactly once when the request finishes.
-	// It may be nil.
+	// It may be nil. A device calls it as the last thing it does with the
+	// request and keeps no reference afterwards, so the callback may
+	// recycle the request, or submit it again, before returning.
 	OnComplete func(r *Request, at sim.Time)
 }
 

@@ -73,6 +73,62 @@ func releaseBitmap(s []uint64) {
 	bitmapPool.Put(&s)
 }
 
+// opPool hands the op records of released volumes to the next cell's
+// volumes. A volume lives for one cell, so without it every cell would
+// allocate records again up to its peak number of outstanding requests.
+// Unlike a sync.Pool, a mutex-guarded list survives GC cycles.
+var opPool struct {
+	sync.Mutex
+	ops  *ioOp
+	subs *subOp
+}
+
+// poolOps hands a released volume's free lists to opPool, unbinding each
+// op from the volume so the pool keeps no dead cell reachable.
+func poolOps(ops *ioOp, subs *subOp) {
+	var lastOp *ioOp
+	for o := ops; o != nil; o = o.nextFree {
+		o.e = nil
+		lastOp = o
+	}
+	var lastSub *subOp
+	for s := subs; s != nil; s = s.nextFree {
+		lastSub = s
+	}
+	opPool.Lock()
+	if lastOp != nil {
+		lastOp.nextFree = opPool.ops
+		opPool.ops = ops
+	}
+	if lastSub != nil {
+		lastSub.nextFree = opPool.subs
+		opPool.subs = subs
+	}
+	opPool.Unlock()
+}
+
+// pooledOp takes one op record from opPool, or returns nil.
+func pooledOp() *ioOp {
+	opPool.Lock()
+	defer opPool.Unlock()
+	o := opPool.ops
+	if o != nil {
+		opPool.ops, o.nextFree = o.nextFree, nil
+	}
+	return o
+}
+
+// pooledSub takes one subrequest record from opPool, or returns nil.
+func pooledSub() *subOp {
+	opPool.Lock()
+	defer opPool.Unlock()
+	s := opPool.subs
+	if s != nil {
+		opPool.subs, s.nextFree = s.nextFree, nil
+	}
+	return s
+}
+
 // VolumeConfig parameterizes one ESSD volume: everything the provider
 // provisions per volume — identity, capacity, QoS budgets, burst credits,
 // the compute-side frontend, and the flow-limiter policy. The shared
@@ -578,12 +634,15 @@ func (e *ESSD) ThrottledAt() sim.Time { return e.limiter.EngagedAt() }
 // BudgetStall returns cumulative time spent waiting on the throughput budget.
 func (e *ESSD) BudgetStall() sim.Duration { return e.bytesTb.StallTime() }
 
-// ReleaseResources returns the volume's pooled buffers (the written bitmap)
-// for reuse by later experiment cells. The volume must not serve I/O
-// afterwards; call only once the cell's measurement and inspection are done.
+// ReleaseResources returns the volume's pooled buffers (the written bitmap
+// and the op records) for reuse by later experiment cells. The volume must
+// not serve I/O afterwards; call only once the cell's measurement and
+// inspection are done.
 func (e *ESSD) ReleaseResources() {
 	releaseBitmap(e.written)
 	e.written = nil
+	poolOps(e.freeOps, e.freeSubs)
+	e.freeOps, e.freeSubs = nil, nil
 }
 
 // Precondition marks the first fillFrac of the volume as written, as if it
@@ -782,6 +841,8 @@ func (e *ESSD) getOp(r *blockdev.Request) *ioOp {
 	if o != nil {
 		e.freeOps = o.nextFree
 		o.nextFree = nil
+	} else if o = pooledOp(); o != nil {
+		o.e = e
 	} else {
 		o = &ioOp{e: e}
 		o.onFE = o.feDone
@@ -964,7 +1025,7 @@ func (e *ESSD) getSub(o *ioOp, chunk, sz int64) *subOp {
 	if s != nil {
 		e.freeSubs = s.nextFree
 		s.nextFree = nil
-	} else {
+	} else if s = pooledSub(); s == nil {
 		s = &subOp{}
 		s.onNet = s.netDone
 		s.onCl = s.clDone

@@ -241,12 +241,14 @@ type Sweep struct {
 	Label string
 
 	// Variant distinguishes sweeps that must NOT share cache entries but
-	// must measure identical arrival streams: it feeds the cache
-	// fingerprint (when non-empty; "" keeps the pre-Variant fingerprint)
-	// and not the cell seeds. The isolation axis uses it — every policy
-	// variant of a scenario sees the same per-cell workload draws, so
-	// differences are pure scheduling effects, while each variant caches
-	// separately.
+	// keep the same cell seeds: it feeds the cache fingerprint (when
+	// non-empty; "" keeps the pre-Variant fingerprint) and not the cell
+	// seeds. The isolation axis uses it, so each policy variant caches
+	// separately. Variants share arrival streams only within one
+	// aggressor count (the cell seed hashes the count). Service times
+	// come from per-component streams drawn in event order, so they
+	// differ between variants, and a difference between variants is not
+	// a pure scheduling effect.
 	Variant string
 
 	// fingerprint memoizes the cache fingerprint; set by withDefaults.

@@ -3,9 +3,6 @@ package qos
 // Rate returns the current fill rate (tokens/s).
 func (b *TokenBucket) Rate() float64 { return b.rate }
 
-// Granted returns the total tokens handed out.
-func (b *TokenBucket) Granted() float64 { return b.granted }
-
 // RateNow returns the rate (bytes/s) the volume currently sustains: the
 // burst ceiling while credits remain, baseline otherwise.
 func (c *CreditBucket) RateNow() float64 {

@@ -22,7 +22,6 @@ type TokenBucket struct {
 	draining bool
 	drainFn  func() // reusable drain event, allocated once per bucket
 
-	granted float64
 	stalled sim.Duration
 }
 
@@ -89,7 +88,6 @@ func (b *TokenBucket) Take(n float64, done func()) {
 	b.refill()
 	if b.whead == len(b.waiters) && b.tokens >= n {
 		b.tokens -= n
-		b.granted += n
 		done()
 		return
 	}
@@ -139,7 +137,6 @@ func (b *TokenBucket) drain() {
 			break
 		}
 		b.tokens -= w.n // may go negative for oversized requests
-		b.granted += w.n
 		b.stalled += b.eng.Now().Sub(w.since)
 		b.waiters[b.whead] = tbWaiter{}
 		b.whead++

@@ -157,14 +157,13 @@ func (s NeighborSweep) AttachTenants(be *essd.Backend, rng *sim.RNG, c expgrid.C
 		Name: "victim",
 		Dev:  victim,
 		Open: &workload.OpenSpec{
-			Pattern:           workload.Mixed,
-			BlockSize:         s.VictimBlockSize,
-			WriteRatio:        victimRatio,
-			RatePerSec:        s.VictimRatePerSec,
-			Arrival:           s.VictimArrival,
-			Count:             s.VictimOps,
-			WindowPercentiles: true,
-			Seed:              c.Seed ^ 0x11c7,
+			Pattern:    workload.Mixed,
+			BlockSize:  s.VictimBlockSize,
+			WriteRatio: victimRatio,
+			RatePerSec: s.VictimRatePerSec,
+			Arrival:    s.VictimArrival,
+			Count:      s.VictimOps,
+			Seed:       c.Seed ^ 0x11c7,
 		},
 	}}
 	horizon := float64(s.VictimOps) / s.VictimRatePerSec

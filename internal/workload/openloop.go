@@ -214,6 +214,18 @@ type openGen struct {
 	op   blockdev.Op
 	off  int64
 	fire func(any) // arrive, bound once
+
+	free *openReq // recycled request records
+}
+
+// openReq is one in-flight arrival: its request, with OnComplete bound
+// once to done, and its issue time. Records are recycled through the
+// generator's free list, so a steady-state arrival allocates nothing.
+type openReq struct {
+	r        blockdev.Request
+	g        *openGen
+	issueAt  sim.Time
+	nextFree *openReq
 }
 
 // startOpen validates the spec (panicking on harness programming errors)
@@ -291,22 +303,35 @@ func (g *openGen) arrive(any) {
 	if g.outstanding > g.res.MaxOutstanding {
 		g.res.MaxOutstanding = g.outstanding
 	}
-	issueAt := g.at
-	g.dev.Submit(&blockdev.Request{
-		Op: g.op, Offset: g.off, Size: g.spec.BlockSize,
-		OnComplete: func(r *blockdev.Request, done sim.Time) {
-			g.outstanding--
-			g.lastDone = done
-			lat := done.Sub(issueAt)
-			rel := sim.Time(done.Sub(g.start))
-			g.res.Lat.Record(lat)
-			g.res.Series.Add(rel, r.Size)
-			g.res.LatSeries.Add(rel, lat)
-			g.res.Ops++
-			g.res.Bytes += r.Size
-		},
-	})
+	q := g.free
+	if q != nil {
+		g.free = q.nextFree
+		q.nextFree = nil
+	} else {
+		q = &openReq{g: g}
+		q.r.OnComplete = q.done
+	}
+	q.issueAt = g.at
+	q.r.Op, q.r.Offset, q.r.Size = g.op, g.off, g.spec.BlockSize
+	g.dev.Submit(&q.r)
 	if g.i++; g.i < g.spec.Count {
 		g.next()
 	}
+}
+
+// done records a completion, then puts the record back on the free list:
+// devices call OnComplete last and keep no reference to the request.
+func (q *openReq) done(r *blockdev.Request, at sim.Time) {
+	g := q.g
+	g.outstanding--
+	g.lastDone = at
+	lat := at.Sub(q.issueAt)
+	rel := sim.Time(at.Sub(g.start))
+	g.res.Lat.Record(lat)
+	g.res.Series.Add(rel, r.Size)
+	g.res.LatSeries.Add(rel, lat)
+	g.res.Ops++
+	g.res.Bytes += r.Size
+	q.nextFree = g.free
+	g.free = q
 }

@@ -226,7 +226,7 @@ func Run(dev blockdev.Device, spec Spec) *Result {
 		return op, off
 	}
 
-	var submit func()
+	var submit func(r *blockdev.Request)
 	onComplete := func(r *blockdev.Request, at sim.Time) {
 		lastDone = at
 		lat := r.Latency(at)
@@ -245,24 +245,27 @@ func Run(dev blockdev.Device, spec Spec) *Result {
 		if r.Op == blockdev.Write {
 			res.WriteSeries.Add(sim.Time(rel), r.Size)
 		}
-		submit()
+		submit(r)
 	}
-	submit = func() {
+	// submit issues the next request in r, the request that just completed
+	// (devices call OnComplete last and keep no reference to it), or in a
+	// new one while the queue fills: a run holds at most QueueDepth
+	// requests.
+	submit = func(r *blockdev.Request) {
 		if shouldStop() {
 			return
 		}
 		op, off := nextOp()
 		submittedBytes += spec.BlockSize
 		submittedOps++
-		dev.Submit(&blockdev.Request{
-			Op:         op,
-			Offset:     off,
-			Size:       spec.BlockSize,
-			OnComplete: onComplete,
-		})
+		if r == nil {
+			r = &blockdev.Request{Size: spec.BlockSize, OnComplete: onComplete}
+		}
+		r.Op, r.Offset = op, off
+		dev.Submit(r)
 	}
 	for i := 0; i < spec.QueueDepth && !shouldStop(); i++ {
-		submit()
+		submit(nil)
 	}
 	// For duration-bounded runs the stop condition is only observed at
 	// completions (it will panic via validation rather than hang in
