@@ -515,17 +515,16 @@ func (x *experiments) isolation() error {
 // fleetSpec is the packing study the fleet and churn suites share, over a
 // synthetic catalog of the given size.
 func (x *experiments) fleetSpec(tenants, aggressors int) fleet.Spec {
-	spec := fleet.Spec{
-		Demands:  fleet.SyntheticDemands(tenants, aggressors),
-		Policies: x.policies,
-		Backends: x.fleetBackends,
-		SLOP999:  sim.Duration(x.fleetP999.Nanoseconds()),
-		Cache:    x.cache,
-		Seed:     x.Seed,
-		Workers:  x.Workers,
+	return fleet.Spec{
+		Demands:   fleet.SyntheticDemands(tenants, aggressors),
+		Isolation: x.Isolation,
+		Policies:  x.policies,
+		Backends:  x.fleetBackends,
+		SLOP999:   sim.Duration(x.fleetP999.Nanoseconds()),
+		Cache:     x.cache,
+		Seed:      x.Seed,
+		Workers:   x.Workers,
 	}
-	spec.Backend.Isolation = x.Isolation
-	return spec
 }
 
 func (x *experiments) fleet() error {

@@ -86,11 +86,15 @@ var reachAllow = map[string]string{
 	"stats.latencySeriesJSON":    "LatencySeries' MarshalJSON and UnmarshalJSON, which encoding/json calls, encode through it",
 }
 
-// setAllow names the exported struct fields that nothing assigns but the
+// setAllow names the exported struct fields that break rule 2 but the
 // module keeps, each with its reason.
 var setAllow = map[string]string{
 	"fleet.Demand.Ops":             "perfbench's demandSignature reads it, so only a change to the benchmark can remove it",
+	"fleet.Spec.Backend":           "Normalize derives it from Isolation, and perfbench's fleet ladder reads it from a normalized spec, so only a change to the benchmark can make it unexported",
+	"fleet.Spec.Volume":            "Normalize sets it to the neighbor volume template, and perfbench's fleet ladder reads it from a normalized spec, so only a change to the benchmark can make it unexported",
+	"fleet.Spec.Label":             "internal/integration's fleet golden was captured under the label \"fleet-golden\", and the label seeds every cell",
 	"qos.Isolation.Quantum":        "Isolation.Signature prints it into cache variants and the neighbor report's isolation: header; it goes with the common-random-numbers re-pin",
+	"qos.Isolation.DebtShareRate":  "Isolation.Signature prints it into cache variants and the neighbor report's isolation: header; it goes with the common-random-numbers re-pin",
 	"qos.Isolation.DebtShareBurst": "Isolation.Signature prints it into cache variants and the neighbor report's isolation: header; it goes with the common-random-numbers re-pin",
 }
 
@@ -110,10 +114,16 @@ var rootTests = map[string]bool{"example_test.go": true, "essdsim_test.go": true
 // method M, or writing an interface type with method M, reaches every
 // method named M.
 //
-// Rule 2: every exported field of an exported struct is assigned somewhere
-// in the module or perfbench/, tests included, outside a withDefaults
-// method: by a composite-literal key, a positional literal, =, an op=, ++
-// or --, or &x.F. A field nothing sets is a constant.
+// Rule 2: every exported field of an exported struct has a second value.
+// It is assigned (a) by a program (rule 1's roots: the non-test code of
+// the module and of perfbench/, and the root example_test.go and
+// essdsim_test.go) outside a withDefaults method, and (b) somewhere, tests
+// included, other than a withDefaults method or the top-level composite
+// literal a Default* function returns for a struct of its own package. A
+// field is assigned by a composite-literal key, a positional literal, =,
+// an op=, ++ or --, or &x.F; (c) an assignment or & through a selector
+// chain assigns every field on it, so x.F.G = v sets F as well as G. A
+// field only tests or only its Default* constructor set is a constant.
 //
 // Rule 3: every package-level type outside test files, aliases included,
 // is reached. A type is reached when a reached body, the signature of a
@@ -148,7 +158,7 @@ func TestReachability(t *testing.T) {
 			used[f.key] = true
 			continue
 		}
-		t.Errorf("%s: field %s is set nowhere (withDefaults aside); make it a constant", m.fset.Position(f.at), f.key)
+		t.Errorf("%s: field %s is %s; make it a constant", m.fset.Position(f.at), f.key, f.why)
 	}
 	for key := range reachAllow {
 		if !used[key] {
@@ -330,16 +340,24 @@ func (m *module) check(path string, p *listedPkg, shared, owned []string, imp ty
 	return pkg, nil
 }
 
-// decl is one function, method, type or field the rules check.
+// decl is one function, method, type or field the rules check; why says
+// how a field breaks rule 2.
 type decl struct {
 	key string
 	at  token.Pos
 	fn  *types.Func
+	why string
 }
 
 // checked reports whether the rules hold u's declarations: non-test files
 // of this module, not perfbench's.
 func (u unit) checked() bool { return !u.test && u.pkg.Module.Path == "essdsim" }
+
+// root reports whether u is one of the root test files that count as
+// programs.
+func (m *module) root(u unit) bool {
+	return u.pkg.ImportPath == "essdsim" && u.test && rootTests[filepath.Base(m.fset.File(u.file.Pos()).Name())]
+}
 
 // short names a package the way the allowlists do: its path below
 // essdsim/internal/ or essdsim/.
@@ -367,7 +385,7 @@ func (m *module) unreached() (funcs, typs []decl) {
 	var checked, checkedTypes []decl
 	var roots []node
 	for _, u := range m.units {
-		root := u.pkg.ImportPath == "essdsim" && u.test && rootTests[filepath.Base(m.fset.File(u.file.Pos()).Name())]
+		root := m.root(u)
 		for _, d := range u.file.Decls {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
@@ -383,7 +401,7 @@ func (m *module) unreached() (funcs, typs []decl) {
 					roots = append(roots, fn...)
 				} else if u.checked() {
 					fn := u.info.Defs[d.Name].(*types.Func)
-					checked = append(checked, decl{funcKey(fn), pos, fn})
+					checked = append(checked, decl{key: funcKey(fn), at: pos, fn: fn})
 				}
 			case *ast.GenDecl:
 				switch {
@@ -514,8 +532,9 @@ func (m *module) stdCalled(fn *types.Func) bool {
 // unset returns rule 2's offenders in declaration order.
 func (m *module) unset() []decl {
 	var fields []decl
-	set := map[token.Pos]bool{}
+	byProgram, elsewhere := map[token.Pos]bool{}, map[token.Pos]bool{}
 	for _, u := range m.units {
+		program := !u.test || m.root(u)
 		for _, d := range u.file.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == "withDefaults" {
 				continue
@@ -537,30 +556,74 @@ func (m *module) unset() []decl {
 					}
 				}
 			}
-			markSet(d, u.info, set)
+			if program {
+				markSet(d, u.info, byProgram, nil)
+			}
+			markSet(d, u.info, elsewhere, defaultLits(d, u.info))
 		}
 	}
 	var out []decl
 	for _, f := range fields {
-		if !set[f.at] {
-			out = append(out, f)
+		switch {
+		case !byProgram[f.at]:
+			f.why = "set by no program (withDefaults aside)"
+		case !elsewhere[f.at]:
+			f.why = "set only by its package's Default* literal"
+		default:
+			continue
 		}
+		out = append(out, f)
 	}
 	return out
 }
 
-// markSet records in set every struct field that node assigns.
-func markSet(node ast.Node, info *types.Info, set map[token.Pos]bool) {
-	field := func(e ast.Expr) {
-		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+// defaultLits returns the top-level composite literals that d, when it is
+// a Default* function, returns for a struct type of its own package.
+func defaultLits(d ast.Decl, info *types.Info) map[*ast.CompositeLit]bool {
+	fd, ok := d.(*ast.FuncDecl)
+	if !ok || fd.Recv != nil || !strings.HasPrefix(fd.Name.Name, "Default") {
+		return nil
+	}
+	own := info.Defs[fd.Name].Pkg()
+	lits := map[*ast.CompositeLit]bool{}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if ret, ok := n.(*ast.ReturnStmt); ok {
+			for _, r := range ret.Results {
+				lit, ok := r.(*ast.CompositeLit)
+				if !ok {
+					continue
+				}
+				if named, ok := info.Types[lit].Type.(*types.Named); ok && named.Obj().Pkg() == own {
+					lits[lit] = true
+				}
+			}
+		}
+		return true
+	})
+	return lits
+}
+
+// markSet records in set every struct field that node assigns, except the
+// top-level keys of the literals in skip.
+func markSet(node ast.Node, info *types.Info, set map[token.Pos]bool, skip map[*ast.CompositeLit]bool) {
+	chain := func(e ast.Expr) {
+		for {
+			sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+			if !ok {
+				return
+			}
 			if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
 				set[s.Obj().(*types.Var).Origin().Pos()] = true
 			}
+			e = sel.X
 		}
 	}
 	ast.Inspect(node, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CompositeLit:
+			if skip[n] {
+				break
+			}
 			typ := info.Types[n].Type
 			if ptr, ok := typ.Underlying().(*types.Pointer); ok { // an elided &T{...}
 				typ = ptr.Elem()
@@ -580,13 +643,13 @@ func markSet(node ast.Node, info *types.Info, set map[token.Pos]bool) {
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				field(lhs)
+				chain(lhs)
 			}
 		case *ast.IncDecStmt:
-			field(n.X)
+			chain(n.X)
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
-				field(n.X)
+				chain(n.X)
 			}
 		}
 		return true

@@ -418,8 +418,8 @@ func ProfileDevicesQoS(iso Isolation, weight, reservedBps float64, names ...stri
 // Fleet types: a catalog of tenant demands placed onto many shared
 // backends, the population a churn study evolves.
 type (
-	// FleetSpec declares a fleet: demands, templates, budgets, policies,
-	// and the SLO targets.
+	// FleetSpec declares a fleet: demands, the backends' isolation
+	// policy, budgets, policies, and the SLO targets.
 	FleetSpec = fleet.Spec
 	// FleetDemand describes one tenant volume to place.
 	FleetDemand = fleet.Demand
@@ -430,7 +430,7 @@ type (
 // epoch through the same cell machinery the static fleet studies use.
 type (
 	// ChurnSpec declares a churn study: an embedded FleetSpec (catalog,
-	// templates, budgets, SLOs, epoch length) plus the churn process,
+	// isolation, budgets, SLOs, epoch length) plus the churn process,
 	// placement policy, rebalancer, and migration budget.
 	ChurnSpec = churn.Spec
 	// ChurnEvent is one scripted lifecycle event.

@@ -84,7 +84,7 @@ type EventRecord struct {
 
 // Spec declares a churn study over a fleet spec. The embedded
 // fleet.Spec supplies the demand catalog (the shapes creates clone),
-// the backend/volume templates, packing budgets, SLO targets, the
+// the backends' isolation policy, packing budgets, SLO targets, the
 // epoch length (Fleet.Horizon), seed, workers, cache, and label.
 // Fleet.Policies is not compared policy-by-policy here: the first fleet
 // policy makes the online decision for every created volume — it
@@ -258,8 +258,8 @@ func (st *state) place(newcomer fleet.Demand) int {
 	return b
 }
 
-// moveBytes is the migration-cost model: moving a volume copies its
-// full provisioned capacity across the fabric once.
+// moveBytes is the migration-cost model: moving a volume copies the
+// volume template's full provisioned capacity across the fabric once.
 func (s Spec) moveBytes() int64 { return s.Fleet.Volume.Capacity }
 
 // poisson draws a Poisson-distributed count with the given mean

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"essdsim/internal/results"
-	"essdsim/internal/sim"
 )
 
 // EpochsTable renders the time series as one row per control epoch.
@@ -92,21 +91,9 @@ func Format(w io.Writer, r *Report) {
 		fmt.Fprintf(w, "%5d %7d %8d %6.0f %10.0f %7d %7d %9d %10d %9d %10s\n",
 			e.Epoch, e.Tenants, e.BackendsUsed, e.MeanUtilization*100,
 			e.StrandedBps/1e6, events, e.Migrations,
-			e.P99Violations, e.P999Violations, e.ThrottledTenants, fmtLat(e.WorstP99))
+			e.P99Violations, e.P999Violations, e.ThrottledTenants, results.LatencyCoarse(e.WorstP99))
 	}
 	fmt.Fprintf(w, "total: %d migrations (%.0f MB moved), %d p99 violations, %d p99.9 violations\n",
 		r.TotalMigrations, float64(r.TotalMoveBytes)/1e6,
 		r.TotalP99Violations, r.TotalP999Violations)
-}
-
-// fmtLat renders a latency compactly (µs under 1 ms, ms otherwise).
-func fmtLat(d sim.Duration) string {
-	switch {
-	case d < 0:
-		return "-"
-	case d < sim.Millisecond:
-		return fmt.Sprintf("%dµs", int64(d)/1000)
-	default:
-		return fmt.Sprintf("%.1fms", d.Seconds()*1e3)
-	}
 }

@@ -490,6 +490,16 @@ func (c *Cluster) FlowStats(i int) FlowStats { return c.flows[i] }
 // primary operation and payload are attributed to the registered flow
 // (pass -1 for untracked).
 func (c *Cluster) WriteFor(flow int, chunk int64, bytes int64, done func()) {
+	c.WriteForTraced(flow, chunk, bytes, done, nil, "")
+}
+
+// WriteForTraced is WriteFor that, when trc is non-nil, records the stages
+// of this chunk on the sampled request's trace: the primary stream
+// transfer and journal write service on lane, each replica's transfer and
+// remote service on lane/r<i>. Tracing allocates a few closures per
+// sampled request; service times are sampled in the same order either
+// way, so tracing never shifts the RNG stream.
+func (c *Cluster) WriteForTraced(flow int, chunk int64, bytes int64, done func(), trc *obs.Req, lane string) {
 	if flow >= 0 {
 		c.flows[flow].Writes++
 		c.flows[flow].WriteBytes += bytes
@@ -509,6 +519,11 @@ func (c *Cluster) WriteFor(flow int, chunk int64, bytes int64, done func()) {
 	j.done = done
 	j.pn = pn
 	j.rem = 1 + (c.cfg.Replicas - 1)
+	var now sim.Time
+	if trc != nil {
+		now = c.eng.Now()
+		j.trc, j.lane, j.t0, j.tb = trc, lane, now, bytes
+	}
 	pn.stream.TransferFlow(flow, bytes, j.onStream)
 	for i := 0; i < c.cfg.Replicas-1; i++ {
 		r := (p + 1 + i) % len(c.nodes)
@@ -517,6 +532,9 @@ func (c *Cluster) WriteFor(flow int, chunk int64, bytes int64, done func()) {
 		rj := c.getReplJob()
 		rj.j = j
 		rj.rn = rn
+		if trc != nil {
+			rj.trc, rj.lane, rj.t0, rj.pp, rj.tb = trc, fmt.Sprintf("%s/r%d", lane, i+1), now, pn.repl, bytes
+		}
 		pn.repl.TransferFlow(flow, bytes, rj.onRepl)
 	}
 }
@@ -526,6 +544,12 @@ func (c *Cluster) WriteFor(flow int, chunk int64, bytes int64, done func()) {
 // bandwidth. The operation and payload are attributed to the registered
 // flow (pass -1 for untracked).
 func (c *Cluster) ReadFor(flow int, chunk int64, bytes int64, done func()) {
+	c.ReadForTraced(flow, chunk, bytes, done, nil, "")
+}
+
+// ReadForTraced is ReadFor that, when trc is non-nil, records the chunk's
+// read service and read-bandwidth stages on the sampled request's trace.
+func (c *Cluster) ReadForTraced(flow int, chunk int64, bytes int64, done func(), trc *obs.Req, lane string) {
 	if flow >= 0 {
 		c.flows[flow].Reads++
 		c.flows[flow].ReadBytes += bytes
@@ -539,7 +563,11 @@ func (c *Cluster) ReadFor(flow int, chunk int64, bytes int64, done func()) {
 	j.flow = flow
 	j.bytes = bytes
 	j.done = done
-	n.read.VisitFlow(flow, c.cfg.ReadService.Sample(c.rng), j.onSvc)
+	svc := c.cfg.ReadService.Sample(c.rng)
+	if trc != nil {
+		j.trc, j.lane, j.t0, j.tsvc = trc, lane, c.eng.Now(), svc
+	}
+	n.read.VisitFlow(flow, svc, j.onSvc)
 }
 
 // AddDebtFor records freshly invalidated bytes (overwrites of previously

@@ -2,9 +2,8 @@ package cluster
 
 // Observability over the shared cluster: read-only debt peeks (the real
 // Debt/DebtObservedBy settle — i.e. mutate — the float drain state, so
-// probes sampling mid-run must not call them), state-probe installation,
-// and the traced variants of WriteFor/ReadFor. Tracing allocates a few
-// closures per SAMPLED request; the untraced paths are untouched.
+// probes sampling mid-run must not call them) and state-probe
+// installation. Request tracing lives in WriteForTraced/ReadForTraced.
 
 import (
 	"fmt"
@@ -108,77 +107,4 @@ func (c *Cluster) InstallProbes(p *obs.Prober) {
 			p.Add(fmt.Sprintf("cluster/n0/write/deficit/%s", c.flows[i].Name), func() float64 { return q.FlowDeficit(i) })
 		}
 	}
-}
-
-// WriteForTraced is WriteFor with the stages of this chunk recorded on
-// the sampled request's trace: the primary stream transfer and journal
-// write service on lane, each replica's transfer and remote service on
-// lane/r<i>. Service times are sampled in the same order as the
-// untraced path, so tracing never shifts the RNG stream.
-func (c *Cluster) WriteForTraced(flow int, chunk int64, bytes int64, done func(), trc *obs.Req, lane string) {
-	if trc == nil {
-		c.WriteFor(flow, chunk, bytes, done)
-		return
-	}
-	if flow >= 0 {
-		c.flows[flow].Writes++
-		c.flows[flow].WriteBytes += bytes
-	}
-	p := c.NodeOfChunk(chunk)
-	pn := c.nodes[p]
-	pn.stats.Writes++
-	pn.stats.WriteBytes += bytes
-	now := c.eng.Now()
-	j := c.getWriteJob()
-	j.flow = flow
-	j.done = done
-	j.pn = pn
-	j.rem = 1 + (c.cfg.Replicas - 1)
-	j.trc = trc
-	j.lane = lane
-	j.t0 = now
-	j.tb = bytes
-	pn.stream.TransferFlow(flow, bytes, j.onStream)
-	for i := 0; i < c.cfg.Replicas-1; i++ {
-		r := (p + 1 + i) % len(c.nodes)
-		rn := c.nodes[r]
-		rn.stats.ReplWrites++
-		rj := c.getReplJob()
-		rj.j = j
-		rj.rn = rn
-		rj.trc = trc
-		rj.lane = fmt.Sprintf("%s/r%d", lane, i+1)
-		rj.t0 = now
-		rj.pp = pn.repl
-		rj.tb = bytes
-		pn.repl.TransferFlow(flow, bytes, rj.onRepl)
-	}
-}
-
-// ReadForTraced is ReadFor with the chunk's read service and read-
-// bandwidth stages recorded on the sampled request's trace.
-func (c *Cluster) ReadForTraced(flow int, chunk int64, bytes int64, done func(), trc *obs.Req, lane string) {
-	if trc == nil {
-		c.ReadFor(flow, chunk, bytes, done)
-		return
-	}
-	if flow >= 0 {
-		c.flows[flow].Reads++
-		c.flows[flow].ReadBytes += bytes
-	}
-	p := c.NodeOfChunk(chunk)
-	n := c.nodes[p]
-	n.stats.Reads++
-	n.stats.ReadBytes += bytes
-	j := c.getReadJob()
-	j.n = n
-	j.flow = flow
-	j.bytes = bytes
-	j.done = done
-	j.trc = trc
-	j.lane = lane
-	j.t0 = c.eng.Now()
-	svc := c.cfg.ReadService.Sample(c.rng)
-	j.tsvc = svc
-	n.read.VisitFlow(flow, svc, j.onSvc)
 }

@@ -1044,17 +1044,11 @@ func (s *subOp) netDone() {
 			now := e.eng.Now()
 			s.trc.Span(s.lane, "net-up", s.t0, now,
 				now.Sub(s.t0)-e.be.net.UpTransferTime(s.sz), e.polLabel(), "fabric uplink")
-			e.be.cl.WriteForTraced(e.flow, s.chunk, s.sz, s.onCl, s.trc, s.lane)
-			return
 		}
-		e.be.cl.WriteFor(e.flow, s.chunk, s.sz, s.onCl)
+		e.be.cl.WriteForTraced(e.flow, s.chunk, s.sz, s.onCl, s.trc, s.lane)
 		return
 	}
-	if s.trc != nil {
-		e.be.cl.ReadForTraced(e.flow, s.chunk, s.sz, s.onCl, s.trc, s.lane)
-		return
-	}
-	e.be.cl.ReadFor(e.flow, s.chunk, s.sz, s.onCl)
+	e.be.cl.ReadForTraced(e.flow, s.chunk, s.sz, s.onCl, s.trc, s.lane)
 }
 
 // clDone releases the subOp before issuing the return leg — the remaining

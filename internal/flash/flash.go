@@ -23,13 +23,11 @@ type Config struct {
 	ProgramLatency sim.Duration // tPROG: multi-plane program of one page per plane
 	EraseLatency   sim.Duration // tBERS: block erase (all planes)
 
-	// Optional per-operation latency distributions. When nil, the constant
-	// latencies above are used. Real TLC program times vary several-fold
-	// page-to-page (LSB/CSB/MSB), which is what gives a saturated write
-	// buffer its bursty drain and realistic tail latencies.
-	ReadDist    sim.Dist
+	// ProgramDist, when non-nil, replaces ProgramLatency with a
+	// distribution. Real TLC program times vary several-fold page-to-page
+	// (LSB/CSB/MSB), which is what gives a saturated write buffer its
+	// bursty drain and realistic tail latencies.
 	ProgramDist sim.Dist
-	EraseDist   sim.Dist
 
 	ChannelBW float64 // bytes/s transferred on one channel
 }
@@ -123,21 +121,15 @@ func (o *op) onRead() {
 	a.channelOf(die).Transfer(a.cfg.PageSize, done)
 }
 
-// NewArray builds the array on the given engine. rng drives the optional
-// per-operation latency distributions. It panics on invalid geometry (a
+// NewArray builds the array on the given engine. rng drives the program
+// latency distribution. It panics on invalid geometry (a
 // construction-time programming error).
 func NewArray(eng *sim.Engine, cfg Config, rng *sim.RNG) *Array {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	if cfg.ReadDist == nil {
-		cfg.ReadDist = sim.Const{V: cfg.ReadLatency}
-	}
 	if cfg.ProgramDist == nil {
 		cfg.ProgramDist = sim.Const{V: cfg.ProgramLatency}
-	}
-	if cfg.EraseDist == nil {
-		cfg.EraseDist = sim.Const{V: cfg.EraseLatency}
 	}
 	if rng == nil {
 		rng = sim.NewRNG(0x5f1a54, 0xf1a5)
@@ -170,7 +162,7 @@ func (a *Array) channelOf(die int) *sim.Pipe {
 // channel.
 func (a *Array) ReadPage(die int, done func()) {
 	a.counters.PageReads++
-	a.dies[die].Visit(a.cfg.ReadDist.Sample(a.rng), a.getOp(die, done).transfer)
+	a.dies[die].Visit(a.cfg.ReadLatency, a.getOp(die, done).transfer)
 }
 
 // ProgramUnit transfers one multi-plane program unit over the channel and
@@ -184,5 +176,5 @@ func (a *Array) ProgramUnit(die int, done func()) {
 // EraseBlockColumn erases one block column (all planes) on the given die.
 func (a *Array) EraseBlockColumn(die int, done func()) {
 	a.counters.BlockErases++
-	a.dies[die].Visit(a.cfg.EraseDist.Sample(a.rng), done)
+	a.dies[die].Visit(a.cfg.EraseLatency, done)
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"essdsim/internal/results"
-	"essdsim/internal/sim"
 )
 
 // BackendsTable renders the study as one row per (policy, materialized
@@ -101,7 +100,7 @@ func WriteTenantsCSV(w io.Writer, r *Report) error {
 func Format(w io.Writer, r *Report) {
 	fmt.Fprintf(w, "Fleet packing: %d tenants on up to %d backends, budget %.0f MB/s (write %.0f MB/s), SLO p99<%s p99.9<%s\n",
 		r.Tenants, r.Backends, r.BackendBps/1e6, r.WriteBps/1e6,
-		fmtLat(r.SLOP99), fmtLat(r.SLOP999))
+		results.LatencyCoarse(r.SLOP99), results.LatencyCoarse(r.SLOP999))
 	fmt.Fprintf(w, "%-13s %8s %6s %9s %10s %9s %10s %11s\n",
 		"policy", "backends", "util%", "p99-viol", "p999-viol", "throttled", "worst-p99x", "worst-p999x")
 	for _, pr := range r.Policies {
@@ -117,20 +116,8 @@ func Format(w io.Writer, r *Report) {
 		for _, br := range pr.Backends {
 			fmt.Fprintf(w, "  %3d %7d %6.0f %9.0f %9s %9s %9d %8d  %s\n",
 				br.Index, len(br.Tenants), br.Utilization*100, br.OfferedBps/1e6,
-				fmtLat(br.WorstP99), fmtLat(br.WorstP999),
+				results.LatencyCoarse(br.WorstP99), results.LatencyCoarse(br.WorstP999),
 				br.SharedDebt/1e6, br.Throttled, strings.Join(br.Tenants, "+"))
 		}
-	}
-}
-
-// fmtLat renders a latency compactly (µs under 1 ms, ms otherwise).
-func fmtLat(d sim.Duration) string {
-	switch {
-	case d < 0:
-		return "-"
-	case d < sim.Millisecond:
-		return fmt.Sprintf("%dµs", int64(d)/1000)
-	default:
-		return fmt.Sprintf("%.1fms", d.Seconds()*1e3)
 	}
 }

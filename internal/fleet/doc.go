@@ -8,8 +8,10 @@
 //
 // A Spec pairs a catalog of tenant Demands (synthetic shapes via
 // SyntheticDemands, or profiles fitted from real MSR-Cambridge traces via
-// DemandFromTrace) with a backend/volume template and a set of
-// PlacementPolicy implementations. Four policies are built in:
+// DemandFromTrace) with the backends' isolation policy and a set of
+// PlacementPolicy implementations. Every backend and volume is built from
+// the noisy-neighbor profiles: an ESSD-1-class cluster with a modest
+// cleaner and gp3-class volumes. Four policies are built in:
 //
 //   - FirstFit packs by nominal offered rate into the fewest backends —
 //     maximum density, maximum co-location.
@@ -18,10 +20,10 @@
 //     density knob).
 //   - BestFit packs by residual write-absorption budget — write churn
 //     lands tightly together, sparing the other backends.
-//   - InterferenceAware balances effective write load (capped by the
-//     volume class's qos.CreditBucket sustained-floor analytics) and
-//     penalizes co-locating write-heavy aggressors with each other, the
-//     shared-cleaner coupling the noisy-neighbor suite quantifies.
+//   - InterferenceAware balances effective write load (capped at the
+//     volume's throughput budget) and penalizes co-locating write-heavy
+//     aggressors with each other, the shared-cleaner coupling the
+//     noisy-neighbor suite quantifies.
 //
 // Run materializes each placement as independent essd.Backend simulations
 // — one expgrid tenant-mix cell per distinct backend population, plus one
@@ -43,7 +45,7 @@
 // docs/formats.md.
 //
 // Screen is the two-fidelity variant: it scores many candidate placements
-// analytically — discounting cross-tenant penalties by the backend
+// analytically — discounting the aggressor-pair penalty by the backend
 // isolation policy's qos.Isolation.DebtCouplingFactor — and simulates
 // only the Pareto frontier.
 package fleet

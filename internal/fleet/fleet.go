@@ -16,19 +16,24 @@ import (
 	"essdsim/internal/workload"
 )
 
-// Spec declares a fleet packing study: a catalog of tenant demands, a
-// backend/volume template every placement instantiates, the packing
-// budgets, the placement policies to compare, and the fleet-wide SLO the
-// violation columns are counted against. Zero-valued fields take defaults.
+// Spec declares a fleet packing study: a catalog of tenant demands, the
+// backends' isolation policy, the packing budgets, the placement policies
+// to compare, and the fleet-wide SLO the violation columns are counted
+// against. Zero-valued fields take defaults.
 type Spec struct {
 	// Demands is the tenant catalog (see SyntheticDemands, DemandFromTrace).
 	Demands []Demand
 
+	// Isolation is the per-tenant QoS policy of every backend (the zero
+	// value is fifo).
+	Isolation qos.Isolation
+
 	// Backend and Volume are the templates every materialized backend and
-	// tenant volume is built from (volume names come from the demands).
-	// Zero values take the noisy-neighbor profiles: an ESSD-1-class
-	// cluster with a modest cleaner, gp3-class volumes with a tight spare
-	// margin.
+	// tenant volume is built from (volume names come from the demands):
+	// the noisy-neighbor profiles, an ESSD-1-class cluster with a modest
+	// cleaner carrying Isolation and gp3-class volumes with a tight spare
+	// margin. They are outputs: Normalize sets them, replacing whatever
+	// they held.
 	Backend essd.BackendConfig
 	Volume  essd.VolumeConfig
 
@@ -72,23 +77,16 @@ const sloP99 = 20 * sim.Millisecond
 func (s Spec) writeBps() float64 { return s.BackendBps / 2 }
 
 // Normalize returns the spec with every zero-valued field resolved to
-// its documented default — the exact spec Run executes. Callers that
-// build on the fleet machinery (the churn control plane, the analytic
-// screen) normalize first so their own planning sees the same budgets,
-// templates, and horizon the simulation will use.
+// its documented default and the templates resolved — the exact spec Run
+// executes. Callers that build on the fleet machinery (the churn control
+// plane, the analytic screen) normalize first so their own planning sees
+// the same budgets, templates, and horizon the simulation will use.
 func (s Spec) Normalize() Spec { return s.withDefaults() }
 
 func (s Spec) withDefaults() Spec {
-	if s.Backend.Cluster.Nodes == 0 {
-		// Preserve an isolation-only override: a spec may select a policy
-		// while leaving the cluster/net template to the profile default.
-		iso := s.Backend.Isolation
-		s.Backend = profiles.NeighborBackendConfig()
-		s.Backend.Isolation = iso
-	}
-	if s.Volume.Capacity == 0 {
-		s.Volume = profiles.NeighborVolumeConfig("tenant")
-	}
+	s.Backend = profiles.NeighborBackendConfig()
+	s.Backend.Isolation = s.Isolation
+	s.Volume = profiles.NeighborVolumeConfig("tenant")
 	if len(s.Policies) == 0 {
 		s.Policies = DefaultPolicies()
 	}
@@ -145,23 +143,13 @@ func (s Spec) Validate() error {
 func (s Spec) PackingConstraints() Constraints { return s.constraints() }
 
 // constraints derives the packing budgets handed to every policy,
-// including the per-volume sustainable-rate cap from the volume class's
-// credit analytics: a burstable tier's long-run rate is its
-// qos.CreditBucket sustained floor, every other tier's is its throughput
-// budget.
+// including the per-volume rate cap: the volume's throughput budget.
 func (s Spec) constraints() Constraints {
-	eff := s.Volume.ThroughputBudget
-	if s.Volume.BurstBaseline > 0 {
-		// A scratch bucket on a scratch engine: the analytics are pure
-		// functions of the tier parameters.
-		eff = qos.NewCreditBucket(sim.NewEngine(), s.Volume.BurstBaseline,
-			s.Volume.ThroughputBudget, s.Volume.BurstCreditBytes).SustainedFloor()
-	}
 	return Constraints{
 		Backends:     s.Backends,
 		BackendBps:   s.BackendBps,
 		WriteBps:     s.writeBps(),
-		EffectiveBps: eff,
+		EffectiveBps: s.Volume.ThroughputBudget,
 	}
 }
 
@@ -481,13 +469,11 @@ func Run(ctx context.Context, s Spec) (*Report, error) {
 // mixes; the catalog hook's other inputs are invisible to the expgrid
 // fingerprint, which only hashes Sweep fields, and membership lives in
 // the cell device names. The Backend and Volume templates go in via
-// their Signature methods — deterministic pointer-free renderings that
-// change with any template field while keeping the label (and thus every
-// cell seed) byte-identical to the pre-isolation %#v rendering for
-// default configs. Callers synthesizing cells beyond the catalog (the
-// churn control plane) must keep the (label, cell-name) → members
-// mapping injective: a scaled member carries its scale in both its Name
-// and the cell name.
+// their Signature methods, deterministic pointer-free renderings; the
+// label seeds every cell, so its bytes must not drift. Callers
+// synthesizing cells beyond the catalog (the churn control plane) must
+// keep the (label, cell-name) → members mapping injective: a scaled
+// member carries its scale in both its Name and the cell name.
 func (s Spec) MixSweep(cells []MixCell) expgrid.Sweep {
 	var cat strings.Builder
 	for _, d := range s.Demands {
@@ -497,16 +483,15 @@ func (s Spec) MixSweep(cells []MixCell) expgrid.Sweep {
 	// label (stripped of isolation) keeps the cell seeds — and hence every
 	// tenant's arrival draws — identical across policies, so a fleet
 	// isolation study compares pure scheduling effects, while each variant
-	// caches separately.
-	beLabel, volLabel := s.Backend, s.Volume
+	// caches separately. The variant's w0|r0 are the volumes' weight and
+	// reservation, which the template leaves at zero.
+	beLabel := s.Backend
 	beLabel.Isolation = qos.Isolation{}
-	volLabel.Weight, volLabel.ReservedRate = 0, 0
 	label := fmt.Sprintf("%s|bud%g|hz%v|be%s|vol%s|%s",
-		s.Label, s.BackendBps, s.Horizon, beLabel.Signature(), volLabel.Signature(), cat.String())
+		s.Label, s.BackendBps, s.Horizon, beLabel.Signature(), s.Volume.Signature(), cat.String())
 	var variant string
-	if s.Backend.Isolation.Enabled() || s.Volume.Weight != 0 || s.Volume.ReservedRate != 0 {
-		variant = fmt.Sprintf("iso:%s|w%g|r%g",
-			s.Backend.Isolation.Signature(), s.Volume.Weight, s.Volume.ReservedRate)
+	if s.Isolation.Enabled() {
+		variant = "iso:" + s.Isolation.Signature() + "|w0|r0"
 	}
 
 	sw := expgrid.Sweep{

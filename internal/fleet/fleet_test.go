@@ -10,7 +10,7 @@ import (
 
 	"essdsim/internal/blockdev"
 	"essdsim/internal/expgrid"
-	"essdsim/internal/profiles"
+	"essdsim/internal/qos"
 	"essdsim/internal/sim"
 	"essdsim/internal/trace"
 	"essdsim/internal/workload"
@@ -117,10 +117,10 @@ func TestFleetPolicyOrdering(t *testing.T) {
 }
 
 // TestFleetCacheKeyedOnTemplates asserts that a cache built under one
-// backend/volume template never serves a spec with a different one: the
-// templates are Tenants-hook inputs the expgrid fingerprint cannot see,
-// so they must be folded into the sweep label (a stale hit here would
-// silently report the old hardware's measurements as the new one's).
+// backend template never serves a spec with a different one: the template
+// is a Tenants-hook input the expgrid fingerprint cannot see, so its
+// isolation policy must be folded into the sweep (a stale hit here would
+// silently report fifo measurements as the isolated backend's).
 func TestFleetCacheKeyedOnTemplates(t *testing.T) {
 	cache := expgrid.NewCache(0)
 	small := func() Spec {
@@ -143,25 +143,14 @@ func TestFleetCacheKeyedOnTemplates(t *testing.T) {
 	if sameWarm.CachedCells != sameWarm.Cells {
 		t.Fatalf("identical spec re-ran %d of %d cells", sameWarm.Cells-sameWarm.CachedCells, sameWarm.Cells)
 	}
-	slowCleaner := small()
-	slowCleaner.Backend = profiles.NeighborBackendConfig()
-	slowCleaner.Backend.Cluster.CleanerRate /= 8
-	repB, err := Run(context.Background(), slowCleaner)
+	isolated := small()
+	isolated.Isolation = qos.Isolation{Policy: qos.IsolationWFQ}
+	repI, err := Run(context.Background(), isolated)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if repB.CachedCells != 0 {
-		t.Fatalf("changed backend template served %d cached cells", repB.CachedCells)
-	}
-	smallVolume := small()
-	smallVolume.Volume = profiles.NeighborVolumeConfig("tenant")
-	smallVolume.Volume.SpareFrac = 0.5
-	repV, err := Run(context.Background(), smallVolume)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repV.CachedCells != 0 {
-		t.Fatalf("changed volume template served %d cached cells", repV.CachedCells)
+	if repI.CachedCells != 0 {
+		t.Fatalf("changed isolation policy served %d cached cells", repI.CachedCells)
 	}
 }
 

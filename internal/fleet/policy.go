@@ -137,9 +137,7 @@ func DemandFromTrace(name string, recs []trace.Record, capacity, blockSize int64
 
 // Constraints carries the per-backend packing budgets a placement policy
 // places against. EffectiveBps caps each demand's long-run offered rate at
-// the volume class's analytic sustainable rate (qos.CreditBucket analytics
-// for burstable tiers, the throughput budget otherwise); 0 leaves demands
-// uncapped.
+// the volume's throughput budget; 0 leaves demands uncapped.
 type Constraints struct {
 	// Backends is the number of backends available (indices 0..Backends-1).
 	Backends int
@@ -293,10 +291,9 @@ const heavyWriterPct = 70
 // descending effective-write order (greedy multiprocessor scheduling) and
 // each lands on the backend minimizing projected write load plus the
 // aggressor-affinity penalty, among backends whose nominal byte budget
-// still fits. Effective loads come from the volume class's credit
-// analytics (Constraints.EffectiveBps), so an aggressor that a burstable
-// tier will throttle to its sustained floor anyway does not scare the
-// policy into wasting a backend on it.
+// still fits. Effective loads are capped at the volume's throughput
+// budget (Constraints.EffectiveBps), so an aggressor offering more than
+// its volume can carry counts only for what it can carry.
 type InterferenceAware struct{}
 
 // Name implements PlacementPolicy.

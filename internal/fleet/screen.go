@@ -7,14 +7,11 @@ import (
 	"math"
 	"sort"
 	"strings"
-
-	"essdsim/internal/qos"
-	"essdsim/internal/sim"
 )
 
 // ScreenSpec configures the two-fidelity screening study: thousands of
-// candidate placements are scored with the closed-form credit analytics
-// (no simulation), and only the Pareto frontier — the placements where
+// candidate placements are scored with a closed-form pressure model (no
+// simulation), and only the Pareto frontier — the placements where
 // fewer backends cannot be had without more predicted violation pressure —
 // is materialized as full shared-backend simulations. The screen trades
 // exactness for volume: it explores orders of magnitude more placements
@@ -67,111 +64,63 @@ type ScreenReport struct {
 }
 
 // screenModel holds the per-spec constants of the analytic score: the
-// packing budgets plus the volume class's qos.CreditBucket analytics
-// (baseline, burst, banked capacity, sustained floor). A non-burstable
-// class has zero capacity and a floor equal to its throughput budget.
+// packing budgets and the isolation policy's debt coupling.
 type screenModel struct {
-	backendBps float64
-	writeBps   float64
-	horizon    float64 // seconds
-
-	cb    *qos.CreditBucket // scratch bucket; nil for non-burstable classes
-	floor float64           // credit-capped sustainable bytes/s per volume
+	Constraints
 
 	// coupling is the analytic fraction of a neighbour's excess churn that
 	// can surface in a co-tenant's observed debt under the template's
 	// isolation policy (1 under fifo) — qos.Isolation.DebtCouplingFactor.
-	// It discounts the cross-tenant penalties so the screen predicts what
+	// It discounts the aggressor-pair penalty so the screen predicts what
 	// the isolated simulation actually delivers, no more.
 	coupling float64
 }
 
-// newScreenModel derives the model from the (defaulted) spec templates.
-// The scratch CreditBucket mirrors Spec.constraints: the analytics are
-// pure functions of the tier parameters.
+// newScreenModel derives the model from the (normalized) spec.
 func (s Spec) newScreenModel() screenModel {
-	m := screenModel{
-		backendBps: s.BackendBps,
-		writeBps:   s.writeBps(),
-		horizon:    s.Horizon.Seconds(),
-		floor:      s.Volume.ThroughputBudget,
-		coupling:   s.Backend.Isolation.DebtCouplingFactor(s.Backend.Cluster.CleanerRate),
+	return screenModel{
+		Constraints: s.constraints(),
+		coupling:    s.Isolation.DebtCouplingFactor(s.Backend.Cluster.CleanerRate),
 	}
-	if s.Volume.BurstBaseline > 0 {
-		m.cb = qos.NewCreditBucket(sim.NewEngine(), s.Volume.BurstBaseline,
-			s.Volume.ThroughputBudget, s.Volume.BurstCreditBytes)
-		m.floor = m.cb.SustainedFloor()
-	}
-	return m
-}
-
-// effOffered caps a demand's offered rate at the volume class's sustainable
-// floor — the same cap Constraints.effOffered applies during placement.
-func (m screenModel) effOffered(d Demand) float64 {
-	bps := d.OfferedBps()
-	if m.floor > 0 && bps > m.floor {
-		bps = m.floor
-	}
-	return bps
-}
-
-// exhaustionSecs predicts when a demand alone exhausts the volume's burst
-// credits: qos.CreditBucket.TimeToExhaustion of the demand's offered rate.
-// The bound lives next to the bucket's Spend/settle arithmetic so the two
-// cannot drift apart. Returns +Inf when the balance never empties (no
-// burst tier, or the demand sits at or under the earn rate).
-func (m screenModel) exhaustionSecs(d Demand) float64 {
-	if m.cb == nil {
-		return math.Inf(1)
-	}
-	return m.cb.TimeToExhaustion(d.OfferedBps())
 }
 
 // score predicts a placement's violation pressure: per backend, the
 // fractional overload of the nominal byte budget and the write-absorption
-// budget, a superlinear penalty for co-locating heavy writers (each pair
-// of aggressors on one backend drains the shared cleaner pool into both),
-// and the credit pressure of members predicted to exhaust their burst
-// credits inside the horizon. Lower is better; 0 means every backend fits
-// every budget with no aggressor pairs and no credit exhaustion.
+// budget, plus a superlinear penalty for co-locating heavy writers (each
+// pair of aggressors on one backend drains the shared cleaner pool into
+// both). Lower is better; 0 means every backend fits every budget with no
+// aggressor pairs.
 func (m screenModel) score(demands []Demand, assign []int, backends int) (float64, int) {
 	offered := make([]float64, backends)
 	writes := make([]float64, backends)
 	heavy := make([]int, backends)
-	credit := make([]float64, backends)
 	used := 0
 	for di, b := range assign {
 		d := demands[di]
-		if offered[b] == 0 && writes[b] == 0 && heavy[b] == 0 && credit[b] == 0 {
+		if offered[b] == 0 && writes[b] == 0 && heavy[b] == 0 {
 			used++
 		}
 		offered[b] += m.effOffered(d)
-		writes[b] += m.effOffered(d) * d.writeFrac()
+		writes[b] += m.effWrite(d)
 		if d.WriteRatioPct >= heavyWriterPct {
 			heavy[b]++
-		}
-		if m.horizon > 0 {
-			if t := m.exhaustionSecs(d); t < m.horizon {
-				credit[b] += 1 - t/m.horizon
-			}
 		}
 	}
 	var score float64
 	for b := 0; b < backends; b++ {
-		if over := offered[b]/m.backendBps - 1; over > 0 {
+		if over := offered[b]/m.BackendBps - 1; over > 0 {
 			score += over
 		}
-		if over := writes[b]/m.writeBps - 1; over > 0 {
+		if over := writes[b]/m.WriteBps - 1; over > 0 {
 			score += over
 		}
 		// h·(h−1)/2 aggressor pairs: stacking write floods is superlinearly
-		// bad (the Obs#2 coupling the neighbor suite measures). Both
-		// cross-tenant penalties scale with the isolation policy's debt
-		// coupling — shaped admission bounds how much of a neighbour's
-		// churn a co-tenant can observe, so an isolated backend tolerates
-		// denser packing before the screen predicts violations.
+		// bad (the Obs#2 coupling the neighbor suite measures). The penalty
+		// scales with the isolation policy's debt coupling — shaped
+		// admission bounds how much of a neighbour's churn a co-tenant can
+		// observe, so an isolated backend tolerates denser packing before
+		// the screen predicts violations.
 		score += m.coupling * 0.5 * float64(heavy[b]*(heavy[b]-1)/2)
-		score += m.coupling * 0.25 * credit[b]
 	}
 	return score, used
 }

@@ -3,15 +3,12 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"math"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
-	"essdsim/internal/profiles"
 	"essdsim/internal/qos"
-	"essdsim/internal/sim"
 )
 
 // TestScreenRankingAgreesWithSimulation is the screen's reason to exist:
@@ -63,66 +60,6 @@ func TestScreenRankingAgreesWithSimulation(t *testing.T) {
 	// agreement above vacuous.
 	if !(scores["interference"] < scores["spread"] && scores["spread"] < scores["first-fit"]) {
 		t.Errorf("analytic chain not strict: %v", scores)
-	}
-}
-
-// TestScreenCreditBoundsMatchEmpirical pins the screen's closed-form
-// exhaustion prediction to the behavioral qos.CreditBucket: an open-loop
-// spender at a rate above the sustainable floor must empty the bank within
-// tolerance of model.exhaustionSecs, and a rate at or under the floor must
-// never empty it. The model constants come from a real burstable volume
-// profile so the agreement covers the same tier the fleet screen sees.
-func TestScreenCreditBoundsMatchEmpirical(t *testing.T) {
-	_, vcfg := profiles.GP2SmallConfig().Split()
-	spec := Spec{
-		Demands:  SyntheticDemands(2, 1),
-		Backends: 1,
-		Volume:   vcfg,
-	}.withDefaults()
-	model := spec.newScreenModel()
-	if model.cb == nil || model.cb.Burst() <= model.cb.Baseline() {
-		t.Fatalf("gp2-small model is not burstable: %+v", model)
-	}
-	baseline, burst := model.cb.Baseline(), model.cb.Burst()
-
-	empirical := func(rate float64) (exhausted sim.Time) {
-		eng := sim.NewEngine()
-		cb := qos.NewCreditBucket(eng, vcfg.BurstBaseline, vcfg.ThroughputBudget, vcfg.BurstCreditBytes)
-		const tick = 10 * sim.Millisecond
-		perTick := int64(rate * tick.Seconds())
-		horizon := eng.Now().Add(sim.Duration(10 * vcfg.BurstCreditBytes / baseline * float64(sim.Second)))
-		for eng.Now() < horizon && cb.ExhaustedAt() < 0 {
-			cb.Spend(perTick)
-			next, reached := eng.Now().Add(tick), false
-			eng.At(next, func() { reached = true })
-			for !reached && eng.Step() {
-			}
-		}
-		return cb.ExhaustedAt()
-	}
-
-	// A demand riding the burst tier above the earn rate: predicted and
-	// measured exhaustion must agree within one part in ten.
-	drainRate := (baseline + burst) / 2
-	d := Demand{Name: "drain", RatePerSec: 1, BlockSize: int64(drainRate)}
-	want := model.exhaustionSecs(d)
-	if math.IsInf(want, 1) {
-		t.Fatalf("rate %.0f predicted to never exhaust", drainRate)
-	}
-	got := empirical(drainRate).Sub(0).Seconds()
-	if diff := math.Abs(got-want) / want; diff > 0.10 {
-		t.Errorf("exhaustion at rate %.0f: predicted %.2fs, measured %.2fs (%.1f%% off)",
-			drainRate, want, got, 100*diff)
-	}
-
-	// A demand at the earn rate never drains; prediction and measurement
-	// must both say "never".
-	idle := Demand{Name: "idle", RatePerSec: 1, BlockSize: int64(baseline)}
-	if secs := model.exhaustionSecs(idle); !math.IsInf(secs, 1) {
-		t.Errorf("rate at baseline predicted to exhaust in %.2fs", secs)
-	}
-	if at := empirical(baseline); at >= 0 {
-		t.Errorf("rate at baseline measured to exhaust at t=%dns", int64(at))
 	}
 }
 
@@ -189,16 +126,17 @@ func TestScreenFrontierAndVolume(t *testing.T) {
 
 // TestScreenCouplingDiscount pins the screen-side honesty bound: with a
 // debt-share rate at half the cleaner rate, qos.Isolation.DebtCouplingFactor
-// halves the cross-tenant penalties, so a placement that stacks both
+// halves the aggressor-pair penalty, so a placement that stacks both
 // aggressors scores strictly lower (better) than under fifo while
 // single-aggressor placements score identically.
 func TestScreenCouplingDiscount(t *testing.T) {
 	base := orderingSpec().withDefaults()
-	iso := base
-	iso.Backend.Isolation = qos.Isolation{
+	iso := orderingSpec()
+	iso.Isolation = qos.Isolation{
 		Policy:        qos.IsolationWFQ,
-		DebtShareRate: iso.Backend.Cluster.CleanerRate / 2,
+		DebtShareRate: base.Backend.Cluster.CleanerRate / 2,
 	}
+	iso = iso.withDefaults()
 
 	mFIFO := base.newScreenModel()
 	mISO := iso.newScreenModel()

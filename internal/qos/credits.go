@@ -1,10 +1,6 @@
 package qos
 
-import (
-	"math"
-
-	"essdsim/internal/sim"
-)
+import "essdsim/internal/sim"
 
 // CreditBucket models burstable cloud volume tiers (AWS gp2-style burst
 // credits): the volume earns credits at a baseline rate and may spend them
@@ -104,33 +100,6 @@ func (c *CreditBucket) SustainedFloor() float64 {
 		return f
 	}
 	return c.burst
-}
-
-// DrainRate returns the net credit consumption in bytes/s at a sustained
-// offered rate: bytes above baseline cost (1 - baseline/burst) credits
-// each while the bucket earns baseline continuously — the closed-form of
-// the Spend/settle arithmetic. Non-positive means the balance never
-// shrinks at that rate.
-func (c *CreditBucket) DrainRate(offered float64) float64 {
-	if c.capacity <= 0 || c.burst <= c.baseline {
-		return 0
-	}
-	if offered > c.burst {
-		offered = c.burst
-	}
-	return offered*(1-c.baseline/c.burst) - c.baseline
-}
-
-// TimeToExhaustion returns the seconds a full credit balance survives a
-// sustained offered rate, or +Inf when it never empties. This is the
-// analytic bound the fleet screen scores credit pressure with, kept next
-// to the bucket arithmetic it mirrors so the two cannot drift apart.
-func (c *CreditBucket) TimeToExhaustion(offered float64) float64 {
-	drain := c.DrainRate(offered)
-	if drain <= 0 {
-		return math.Inf(1)
-	}
-	return c.capacity / drain
 }
 
 // settle accrues earned credits up to now and debits spend bytes consumed

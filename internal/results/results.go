@@ -8,7 +8,9 @@
 //
 // The package is shared by internal/scenario (burst-suite cell and
 // timeline dumps) and internal/slo (search probe dumps); docs/formats.md
-// documents the concrete schemas.
+// documents the concrete schemas. Latency and LatencyCoarse render
+// latencies for the text reports of those packages and of internal/fleet
+// and internal/churn.
 package results
 
 import (
@@ -86,4 +88,32 @@ func Millis(d sim.Duration) string {
 		return "-1"
 	}
 	return Float(d.Seconds() * 1e3)
+}
+
+// Latency renders a latency for a text report: "-" when not positive,
+// whole µs under 1 ms, ms with two decimals under 1 s, else seconds.
+func Latency(d sim.Duration) string {
+	switch {
+	case d <= 0:
+		return "-"
+	case d < sim.Millisecond:
+		return fmt.Sprintf("%.0fµs", d.Seconds()*1e6)
+	case d < sim.Second:
+		return fmt.Sprintf("%.2fms", d.Seconds()*1e3)
+	default:
+		return fmt.Sprintf("%.2fs", d.Seconds())
+	}
+}
+
+// LatencyCoarse renders a latency compactly: "-" for the negative
+// sentinels, truncated µs under 1 ms, ms with one decimal otherwise.
+func LatencyCoarse(d sim.Duration) string {
+	switch {
+	case d < 0:
+		return "-"
+	case d < sim.Millisecond:
+		return fmt.Sprintf("%dµs", int64(d)/1000)
+	default:
+		return fmt.Sprintf("%.1fms", d.Seconds()*1e3)
+	}
 }

@@ -9,15 +9,17 @@ import (
 	"essdsim/internal/blockdev"
 	"essdsim/internal/expgrid"
 	"essdsim/internal/profiles"
+	"essdsim/internal/results"
 	"essdsim/internal/sim"
 	"essdsim/internal/stats"
 	"essdsim/internal/workload"
 )
 
-// BurstSweep declares a burst-credit exhaustion suite: mixed random I/O
-// across write-ratio × arrival-shape × offered-rate on each burstable
-// device, run open-loop so the offered timeline (not device back-pressure)
-// drives credit consumption. Zero-valued fields take defaults.
+// BurstSweep declares a burst-credit exhaustion suite: 256 KiB mixed
+// random I/O across write-ratio × arrival-shape × offered-rate on each
+// burstable device, run open-loop so the offered timeline (not device
+// back-pressure) drives credit consumption. Zero-valued fields take
+// defaults.
 type BurstSweep struct {
 	// Devices are the volume tiers under test (default BurstTierDevices).
 	// Non-burstable devices are allowed; their credit columns read as
@@ -28,8 +30,7 @@ type BurstSweep struct {
 	Arrivals       []workload.Arrival // default Uniform, Bursty
 	RatesPerSec    []float64          // offered req/s (default 1500, 3000)
 
-	BlockSize int64  // bytes per request (default 256 KiB)
-	Ops       uint64 // requests per cell (default 12000)
+	Ops uint64 // requests per cell (default 12000)
 
 	// Cache, when non-nil, serves already-computed cells from the
 	// sweep-level result cache instead of re-simulating them; a warm
@@ -46,6 +47,9 @@ type BurstSweep struct {
 	OnProgress func(expgrid.Progress)
 }
 
+// burstBlockSize is the request size of every burst cell.
+const burstBlockSize = 256 << 10
+
 func (s BurstSweep) withDefaults() BurstSweep {
 	if len(s.Devices) == 0 {
 		s.Devices = BurstTierDevices()
@@ -58,9 +62,6 @@ func (s BurstSweep) withDefaults() BurstSweep {
 	}
 	if len(s.RatesPerSec) == 0 {
 		s.RatesPerSec = []float64{1500, 3000}
-	}
-	if s.BlockSize <= 0 {
-		s.BlockSize = 256 << 10
 	}
 	if s.Ops == 0 {
 		s.Ops = 12000
@@ -218,7 +219,7 @@ func RunBurst(ctx context.Context, s BurstSweep) (*BurstReport, error) {
 		Kind:           expgrid.Open,
 		Devices:        s.Devices,
 		Patterns:       []workload.Pattern{workload.Mixed},
-		BlockSizes:     []int64{s.BlockSize},
+		BlockSizes:     []int64{burstBlockSize},
 		WriteRatiosPct: s.WriteRatiosPct,
 		Arrivals:       s.Arrivals,
 		RatesPerSec:    s.RatesPerSec,
@@ -234,7 +235,7 @@ func RunBurst(ctx context.Context, s BurstSweep) (*BurstReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := &BurstReport{BlockSize: s.BlockSize, Ops: s.Ops}
+	rep := &BurstReport{BlockSize: burstBlockSize, Ops: s.Ops}
 	for _, r := range results {
 		if rep.SampleInterval == 0 {
 			rep.SampleInterval = r.Open.Series.Interval()
@@ -334,7 +335,7 @@ func FormatBurst(w io.Writer, r *BurstReport) {
 		post := "-"
 		postBW := "-"
 		if c.ExhaustedAt >= 0 {
-			post = fmtLat(c.PostCliffLat)
+			post = results.Latency(c.PostCliffLat)
 			postBW = fmt.Sprintf("%.1f", c.PostCliffBps/1e6)
 		}
 		name := c.Device
@@ -345,24 +346,11 @@ func FormatBurst(w io.Writer, r *BurstReport) {
 		// so heavy queueing makes it far exceed the wall-clock span.
 		fmt.Fprintf(w, "%-6s %4d %-8s %8.1fM %9s %9s %8.0fs %10s %10s %10.1f %10s",
 			name, c.WriteRatioPct, c.Arrival, c.OfferedBps/1e6, exhaust, credits,
-			c.BudgetStall.Seconds(), fmtLat(c.PreCliffLat), post,
+			c.BudgetStall.Seconds(), results.Latency(c.PreCliffLat), post,
 			c.PreCliffBps/1e6, postBW)
 		if c.Throttled {
 			fmt.Fprint(w, "  THROTTLED")
 		}
 		fmt.Fprintln(w)
-	}
-}
-
-func fmtLat(d sim.Duration) string {
-	switch {
-	case d <= 0:
-		return "-"
-	case d < sim.Millisecond:
-		return fmt.Sprintf("%.0fµs", d.Seconds()*1e6)
-	case d < sim.Second:
-		return fmt.Sprintf("%.2fms", d.Seconds()*1e3)
-	default:
-		return fmt.Sprintf("%.2fs", d.Seconds())
 	}
 }

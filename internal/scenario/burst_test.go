@@ -36,16 +36,12 @@ func TestBurstExhaustionMatchesCreditMath(t *testing.T) {
 	cfg.ThroughputBudget = 400e6 // R: burst ceiling
 	cfg.BurstBaseline = 100e6    // B
 	cfg.BurstCreditBytes = 200e6 // C
-	const (
-		rate = 1200.0
-		bs   = 256 << 10
-	)
+	const rate = 1200.0
 	rep, err := RunBurst(context.Background(), BurstSweep{
 		Devices:        []expgrid.NamedFactory{{Name: "tiny", New: tierFactory(cfg)}},
 		WriteRatiosPct: []int{0, 100}, // all-reads and all-writes cells
 		Arrivals:       []workload.Arrival{workload.Uniform},
 		RatesPerSec:    []float64{rate},
-		BlockSize:      bs,
 		Ops:            3000,
 		Seed:           11,
 	})
@@ -56,7 +52,7 @@ func TestBurstExhaustionMatchesCreditMath(t *testing.T) {
 		t.Fatalf("cells = %d", len(rep.Cells))
 	}
 
-	offered := rate * bs
+	offered := rate * burstBlockSize
 	drain := offered*(1-cfg.BurstBaseline/cfg.ThroughputBudget) - cfg.BurstBaseline
 	wantTTX := cfg.BurstCreditBytes / drain // ≈ 1.47 s
 	floor := 2 * cfg.BurstBaseline          // min(R, 2B)
@@ -141,14 +137,15 @@ func TestBurstSuiteDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestBurstBadBlockSizeReturnsError pins the failed-cell contract: the
+// TestBurstFailedCellReturnsError pins the failed-cell contract: the
 // expgrid runner suppresses errored cells and surfaces the first error, so
 // RunBurst returns it instead of folding partial results (or panicking on
 // a nil measurement).
-func TestBurstBadBlockSizeReturnsError(t *testing.T) {
-	rep, err := RunBurst(context.Background(), BurstSweep{BlockSize: 1000, Ops: 10})
+func TestBurstFailedCellReturnsError(t *testing.T) {
+	broken := expgrid.NamedFactory{Name: "broken", New: func(uint64) blockdev.Device { panic("no device") }}
+	rep, err := RunBurst(context.Background(), BurstSweep{Devices: []expgrid.NamedFactory{broken}, Ops: 10})
 	if err == nil || rep != nil {
-		t.Fatalf("bad block size: rep=%v err=%v", rep, err)
+		t.Fatalf("failed cell: rep=%v err=%v", rep, err)
 	}
 	if !strings.Contains(err.Error(), "expgrid: cell") {
 		t.Fatalf("unhelpful error: %v", err)

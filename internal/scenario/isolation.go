@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"essdsim/internal/qos"
+	"essdsim/internal/results"
 	"essdsim/internal/sim"
 )
 
@@ -94,7 +95,7 @@ func FormatIsolation(w io.Writer, r *IsolationReport) {
 		"policy", "max-p99", "max-p99.9", "p99-x", "p999-x", "throttled")
 	for _, v := range r.Variants {
 		fmt.Fprintf(w, "%-12s %10s %10s %8.2f %8.2f %10d\n",
-			v.Policy, fmtLat(v.MaxVictimP99), fmtLat(v.MaxVictimP999),
+			v.Policy, results.Latency(v.MaxVictimP99), results.Latency(v.MaxVictimP999),
 			v.MaxP99Inflation, v.MaxP999Inflation, v.ThrottledCells)
 	}
 }

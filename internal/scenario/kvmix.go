@@ -9,6 +9,7 @@ import (
 	"essdsim/internal/essd"
 	"essdsim/internal/expgrid"
 	"essdsim/internal/profiles"
+	"essdsim/internal/results"
 	"essdsim/internal/sim"
 	"essdsim/internal/stats"
 	"essdsim/internal/workload"
@@ -320,8 +321,7 @@ func foldKVMixCell(r expgrid.CellResult) KVMixCell {
 		Throttled:  info.Throttled,
 		Cached:     r.Cached,
 	}
-	lat := stats.AcquireHistogram()
-	defer stats.ReleaseHistogram(lat)
+	lat := stats.NewHistogram()
 	var agg kv.Stats
 	for _, t := range r.KV {
 		cell.Ops += t.Ops
@@ -366,7 +366,7 @@ func FormatKVMix(w io.Writer, r *KVMixReport) {
 	for _, c := range r.Cells {
 		fmt.Fprintf(w, "%6s %10s %5g %6d %9.0f %9s %9s %9s %6.2f %6.2f %5.1f %7d %6d %7dM\n",
 			c.Tier, c.Engine, c.Skew, c.ValueSize, c.OpsPerSec,
-			fmtLat(c.Lat.P50), fmtLat(c.Lat.P99), fmtLat(c.Lat.P999),
+			results.Latency(c.Lat.P50), results.Latency(c.Lat.P99), results.Latency(c.Lat.P999),
 			c.ReadAmp, c.WriteAmp, c.CacheHitPct, c.Stalls, c.Compactions,
 			c.SharedDebt/1e6)
 	}

@@ -11,6 +11,7 @@ import (
 	"essdsim/internal/obs"
 	"essdsim/internal/profiles"
 	"essdsim/internal/qos"
+	"essdsim/internal/results"
 	"essdsim/internal/sim"
 	"essdsim/internal/stats"
 	"essdsim/internal/workload"
@@ -480,7 +481,7 @@ func FormatNeighbor(w io.Writer, r *NeighborReport) {
 		}
 		fmt.Fprintf(w, "%5d %9.0f %4d %8.1fM %9s %9s %9s %7s %7s %10s %8dM %9s\n",
 			c.Aggressors, c.AggrRatePerSec, c.AggrWriteRatioPct, c.AggrOfferedBps/1e6,
-			fmtLat(c.VictimLat.P50), fmtLat(c.VictimLat.P99), fmtLat(c.VictimLat.P999),
+			results.Latency(c.VictimLat.P50), results.Latency(c.VictimLat.P99), results.Latency(c.VictimLat.P999),
 			infl99, infl999, onset, c.SharedDebt/1e6, aggrBW)
 	}
 }

@@ -42,6 +42,7 @@ import (
 	"math"
 
 	"essdsim/internal/expgrid"
+	"essdsim/internal/results"
 	"essdsim/internal/scenario"
 	"essdsim/internal/sim"
 	"essdsim/internal/workload"
@@ -433,7 +434,7 @@ func Format(w io.Writer, r *Report) {
 		}
 		post := "-"
 		if p.PostP99 > 0 {
-			post = fmtLat(p.PostP99)
+			post = results.Latency(p.PostP99)
 		}
 		mark := func(b bool) string {
 			if b {
@@ -446,20 +447,7 @@ func Format(w io.Writer, r *Report) {
 			cached = "  (cached)"
 		}
 		fmt.Fprintf(w, "  %9.0f %8.1fM %9s %10s %10s %10d %5s %5s%s\n",
-			p.RatePerSec, p.OfferedBps/1e6, exhaust, fmtLat(p.PreP99), post,
+			p.RatePerSec, p.OfferedBps/1e6, exhaust, results.Latency(p.PreP99), post,
 			p.MaxOutstanding, mark(p.PrePass), mark(p.PostPass), cached)
-	}
-}
-
-func fmtLat(d sim.Duration) string {
-	switch {
-	case d <= 0:
-		return "-"
-	case d < sim.Millisecond:
-		return fmt.Sprintf("%.0fµs", d.Seconds()*1e6)
-	case d < sim.Second:
-		return fmt.Sprintf("%.2fms", d.Seconds()*1e3)
-	default:
-		return fmt.Sprintf("%.2fs", d.Seconds())
 	}
 }

@@ -29,11 +29,6 @@ type Config struct {
 	Flash flash.Config
 	FTL   ftl.Config
 
-	HostLinkBW float64 // bytes/s in each direction (PCIe is full duplex)
-
-	FirmwareSlots   int      // parallel command contexts in the controller
-	FirmwareLatency sim.Dist // per-command processing time
-
 	// Prefetcher.
 	ReadCachePages  int // capacity of the read cache, in logical pages
 	PrefetchDepth   int // logical pages to read ahead of a detected stream
@@ -65,14 +60,20 @@ func DefaultConfig(userCapacity int64) Config {
 			ChannelBW: 1.2e9,
 		},
 		FTL:             ftl.DefaultConfig(userCapacity),
-		HostLinkBW:      3.5e9,
-		FirmwareSlots:   4,
-		FirmwareLatency: sim.LogNormal{Median: 5 * sim.Microsecond, Sigma: 0.18},
 		ReadCachePages:  4096,
 		PrefetchDepth:   64,
 		StreamTableSize: 8,
 	}
 }
+
+// The host-facing controller, the same for every configuration.
+const (
+	hostLinkBW    = 3.5e9 // bytes/s in each direction (PCIe is full duplex)
+	firmwareSlots = 4     // parallel command contexts in the controller
+)
+
+// firmwareLatency is the per-command processing time.
+var firmwareLatency = sim.LogNormal{Median: 5 * sim.Microsecond, Sigma: 0.18}
 
 // Counters tallies host-visible SSD activity.
 type Counters struct {
@@ -120,13 +121,9 @@ func New(eng *sim.Engine, cfg Config, rng *sim.RNG) *SSD {
 	s := &SSD{eng: eng, cfg: cfg, rng: rng.Derive("ssd:" + cfg.Name)}
 	s.arr = flash.NewArray(eng, cfg.Flash, s.rng.Derive("flash"))
 	s.ftl = ftl.New(eng, s.arr, cfg.FTL)
-	s.up = sim.NewPipe(eng, "hostUp", cfg.HostLinkBW)
-	s.down = sim.NewPipe(eng, "hostDown", cfg.HostLinkBW)
-	slots := cfg.FirmwareSlots
-	if slots < 1 {
-		slots = 1
-	}
-	s.fw = sim.NewServer(eng, "fw", slots)
+	s.up = sim.NewPipe(eng, "hostUp", hostLinkBW)
+	s.down = sim.NewPipe(eng, "hostDown", hostLinkBW)
+	s.fw = sim.NewServer(eng, "fw", firmwareSlots)
 	s.cache.init(s.ftl.UserLPNs(), cfg.ReadCachePages)
 	s.streams = make([]stream, cfg.StreamTableSize)
 	return s
@@ -216,7 +213,7 @@ func (s *SSD) submitWrite(r *blockdev.Request) {
 		o.admitted = o.onAdmitted
 	}
 	o.r = r
-	s.fw.Visit(s.cfg.FirmwareLatency.Sample(s.rng), o.fwDone)
+	s.fw.Visit(firmwareLatency.Sample(s.rng), o.fwDone)
 }
 
 // writeOp carries one host write through firmware, the host link and
@@ -264,7 +261,7 @@ func (s *SSD) submitRead(r *blockdev.Request) {
 		o.sent = o.onSent
 	}
 	o.r = r
-	s.fw.Visit(s.cfg.FirmwareLatency.Sample(s.rng), o.fwDone)
+	s.fw.Visit(firmwareLatency.Sample(s.rng), o.fwDone)
 }
 
 // readOp carries one host read through firmware, the read cache and flash,
@@ -334,7 +331,7 @@ func (o *readOp) onSent() {
 func (s *SSD) submitTrim(r *blockdev.Request) {
 	lpn, count := s.lpnRange(r)
 	s.counters.Trims++
-	s.fw.Visit(s.cfg.FirmwareLatency.Sample(s.rng), func() {
+	s.fw.Visit(firmwareLatency.Sample(s.rng), func() {
 		s.ftl.Trim(lpn, count)
 		s.cache.drop(lpn, count)
 		s.complete(r)
@@ -343,7 +340,7 @@ func (s *SSD) submitTrim(r *blockdev.Request) {
 
 func (s *SSD) submitFlush(r *blockdev.Request) {
 	s.counters.Flushes++
-	s.fw.Visit(s.cfg.FirmwareLatency.Sample(s.rng), func() {
+	s.fw.Visit(firmwareLatency.Sample(s.rng), func() {
 		s.ftl.Flush(func() { s.complete(r) })
 	})
 }

@@ -220,17 +220,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Reset clears the histogram.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.count = 0
-	h.sum = 0
-	h.min = math.MaxInt64
-	h.max = 0
-}
-
 // Summary is a compact snapshot of a histogram, convenient for tables.
 type Summary struct {
 	Count uint64

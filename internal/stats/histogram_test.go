@@ -96,19 +96,6 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
-func TestHistogramReset(t *testing.T) {
-	h := NewHistogram()
-	h.Record(500)
-	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 {
-		t.Fatal("reset did not clear")
-	}
-	h.Record(100)
-	if h.Min() != 100 {
-		t.Fatalf("min after reset = %v", h.Min())
-	}
-}
-
 func TestBucketIndexMonotonic(t *testing.T) {
 	prev := -1
 	for v := int64(0); v < 1<<22; v += 97 {

@@ -12,22 +12,9 @@ import (
 type LSMConfig struct {
 	// MemtableBytes is the in-memory buffer flushed as one L0 table.
 	MemtableBytes int64
-	// SegmentIOBytes is the I/O size used for flush/compaction streams
-	// (the large sequential writes LSMs are built around).
-	SegmentIOBytes int64
-	// LevelFanout is the size ratio between adjacent levels.
-	LevelFanout int
 	// L0CompactTrigger is the number of L0 tables that triggers a
 	// compaction into L1.
 	L0CompactTrigger int
-	// OverlapFrac is the fraction of an input table's size that must be
-	// read from (and rewritten to) the next level during compaction —
-	// the source of the design's write amplification.
-	OverlapFrac float64
-	// MaxLevels bounds the tree depth.
-	MaxLevels int
-	// QueueDepth limits concurrent device I/O from flush/compaction.
-	QueueDepth int
 }
 
 // DefaultLSMConfig returns leveled-compaction parameters in RocksDB's
@@ -35,14 +22,26 @@ type LSMConfig struct {
 func DefaultLSMConfig() LSMConfig {
 	return LSMConfig{
 		MemtableBytes:    8 << 20,
-		SegmentIOBytes:   256 << 10,
-		LevelFanout:      10,
 		L0CompactTrigger: 4,
-		OverlapFrac:      1.0,
-		MaxLevels:        4,
-		QueueDepth:       16,
 	}
 }
+
+// The rest of the engine's shape, fixed for every configuration.
+const (
+	// segmentIOBytes is the I/O size of flush/compaction streams (the
+	// large sequential writes LSMs are built around).
+	segmentIOBytes = 256 << 10
+	// levelFanout is the size ratio between adjacent levels.
+	levelFanout = 10
+	// overlapFrac is the fraction of an input table's size that must be
+	// read from (and rewritten to) the next level during compaction —
+	// the source of the design's write amplification.
+	overlapFrac = 1.0
+	// maxLevels bounds the tree depth.
+	maxLevels = 4
+	// queueDepth limits concurrent device I/O from flush/compaction.
+	queueDepth = 16
+)
 
 type level struct {
 	tables int
@@ -69,7 +68,7 @@ type LSM struct {
 	dev    blockdev.Device
 	cfg    LSMConfig
 	ring   ringAllocator
-	levels []level
+	levels [maxLevels]level
 
 	memUsed   int64
 	flushBusy bool
@@ -88,32 +87,24 @@ type LSM struct {
 }
 
 // lsmPool recycles whole engines across sweep cells: a pooled LSM keeps
-// its level slice, waiter backing array, and every free list (whose
+// its waiter backing array and every free list (whose
 // entries point back at this same struct, so no rebinding is needed).
 var lsmPool = sync.Pool{New: func() any { return new(LSM) }}
 
 // NewLSM builds the engine over the device, reusing a pooled engine's
 // internal structures when one is available. It panics on invalid
-// configuration (programming error).
+// configuration or a device whose block does not divide the segment size
+// (programming errors).
 func NewLSM(dev blockdev.Device, cfg LSMConfig) *LSM {
 	bs := int64(dev.BlockSize())
-	if cfg.MemtableBytes <= 0 || cfg.SegmentIOBytes <= 0 ||
-		cfg.SegmentIOBytes%bs != 0 || cfg.LevelFanout < 2 ||
-		cfg.L0CompactTrigger < 1 || cfg.MaxLevels < 1 || cfg.QueueDepth < 1 {
-		panic(fmt.Sprintf("kv: bad LSM config %+v", cfg))
+	if cfg.MemtableBytes <= 0 || cfg.L0CompactTrigger < 1 || segmentIOBytes%bs != 0 {
+		panic(fmt.Sprintf("kv: bad LSM config %+v for %d-byte blocks", cfg, bs))
 	}
 	l := lsmPool.Get().(*LSM)
 	l.dev = dev
 	l.cfg = cfg
 	l.ring = ringAllocator{base: 0, size: dev.Capacity(), bs: bs}
-	if cap(l.levels) >= cfg.MaxLevels {
-		l.levels = l.levels[:cfg.MaxLevels]
-		for i := range l.levels {
-			l.levels[i] = level{}
-		}
-	} else {
-		l.levels = make([]level, cfg.MaxLevels)
-	}
+	l.levels = [maxLevels]level{}
 	l.memUsed = 0
 	l.flushBusy = false
 	l.compBusy = false
@@ -308,7 +299,7 @@ func (l *LSM) admitWaiters() {
 func (l *LSM) targetBytes(i int) int64 {
 	t := l.cfg.MemtableBytes * int64(l.cfg.L0CompactTrigger)
 	for j := 0; j < i; j++ {
-		t *= int64(l.cfg.LevelFanout)
+		t *= levelFanout
 	}
 	return t
 }
@@ -345,7 +336,7 @@ func (l *LSM) maybeCompact() {
 	}
 	bs := int64(l.dev.BlockSize())
 	moved = align(moved, bs)
-	overlap := align(int64(l.cfg.OverlapFrac*float64(moved)), bs)
+	overlap := align(int64(overlapFrac*float64(moved)), bs)
 	l.levels[src].bytes -= moved
 	l.startStream(false, moved+overlap, streamCompactRead, src, moved, 0)
 }
@@ -418,7 +409,7 @@ func (l *LSM) startStream(write bool, total int64, purpose uint8, src int, moved
 		s.writeBytes = total // the merged run writes back what it read
 	}
 	if total > 0 {
-		seg := l.cfg.SegmentIOBytes
+		seg := int64(segmentIOBytes)
 		bs := int64(l.dev.BlockSize())
 		for total > 0 {
 			n := seg
@@ -438,10 +429,10 @@ func (l *LSM) startStream(write bool, total int64, purpose uint8, src int, moved
 	s.pump()
 }
 
-// pump keeps QueueDepth segments in flight.
+// pump keeps queueDepth segments in flight.
 func (s *lsmStream) pump() {
 	l := s.l
-	for s.inflight < l.cfg.QueueDepth && s.next < len(s.offs) {
+	for s.inflight < queueDepth && s.next < len(s.offs) {
 		i := s.next
 		s.next++
 		s.inflight++

@@ -284,9 +284,9 @@ func TestPageStoreGetHitMissAccounting(t *testing.T) {
 		t.Errorf("miss accounting: misses %d->%d get reads %d->%d",
 			s.CacheMisses, s2.CacheMisses, s.GetReads, s2.GetReads)
 	}
-	if s2.DeviceReads != s.DeviceReads+1 || s2.DeviceReadBytes != s.DeviceReadBytes+cfg.PageBytes {
+	if page := int64(dev.BlockSize()); s2.DeviceReads != s.DeviceReads+1 || s2.DeviceReadBytes != s.DeviceReadBytes+page {
 		t.Errorf("miss device cost: reads %d->%d bytes %d->%d (page %d)",
-			s.DeviceReads, s2.DeviceReads, s.DeviceReadBytes, s2.DeviceReadBytes, cfg.PageBytes)
+			s.DeviceReads, s2.DeviceReads, s.DeviceReadBytes, s2.DeviceReadBytes, page)
 	}
 	p.Release()
 }

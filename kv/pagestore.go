@@ -1,33 +1,28 @@
 package kv
 
 import (
-	"fmt"
 	"sync"
 
 	"essdsim/internal/blockdev"
 	"essdsim/internal/sim"
 )
 
-// PageStoreConfig parameterizes the update-in-place engine.
+// PageStoreConfig parameterizes the update-in-place engine, whose pages
+// are the device's blocks.
 type PageStoreConfig struct {
-	// PageBytes is the on-device page size (typically the block size).
-	PageBytes int64
 	// CachePages is the in-memory page cache capacity: puts that hit the
 	// cache skip the read-before-write.
 	CachePages int
-	// Seed drives page placement.
-	Seed uint64
 }
 
-// DefaultPageStoreConfig returns a B-tree-like configuration: 4 KiB pages
-// with a cache covering 1/32 of the device's pages.
+// DefaultPageStoreConfig returns a B-tree-like configuration: a cache
+// covering 1/32 of the device's pages.
 func DefaultPageStoreConfig(dev blockdev.Device) PageStoreConfig {
-	return PageStoreConfig{
-		PageBytes:  int64(dev.BlockSize()),
-		CachePages: int(dev.Capacity() / int64(dev.BlockSize()) / 32),
-		Seed:       1,
-	}
+	return PageStoreConfig{CachePages: int(dev.Capacity() / int64(dev.BlockSize()) / 32)}
 }
+
+// pageSeed drives page placement.
+const pageSeed = 1
 
 // PageStore is the update-in-place design: every put reads (on a cache
 // miss) and rewrites its key's page at a fixed random device location —
@@ -38,9 +33,10 @@ func DefaultPageStoreConfig(dev blockdev.Device) PageStoreConfig {
 // with a bound completion method) comes from an intrusive free list, so
 // the steady-state put path allocates nothing.
 type PageStore struct {
-	dev   blockdev.Device
-	cfg   PageStoreConfig
-	pages int64
+	dev       blockdev.Device
+	cfg       PageStoreConfig
+	pageBytes int64 // the device's block size
+	pages     int64
 
 	cache      map[int64]struct{}
 	cacheOrder []int64 // FIFO ring: live entries are cacheOrder[cacheHead:]
@@ -61,17 +57,14 @@ var pageStorePool = sync.Pool{New: func() any { return new(PageStore) }}
 // engine's internal structures when one is available. It panics on
 // invalid configuration (programming error).
 func NewPageStore(dev blockdev.Device, cfg PageStoreConfig) *PageStore {
-	bs := int64(dev.BlockSize())
-	if cfg.PageBytes < bs || cfg.PageBytes%bs != 0 {
-		panic(fmt.Sprintf("kv: bad page size %d", cfg.PageBytes))
-	}
 	if cfg.CachePages < 0 {
 		panic("kv: negative cache")
 	}
 	p := pageStorePool.Get().(*PageStore)
 	p.dev = dev
 	p.cfg = cfg
-	p.pages = dev.Capacity() / cfg.PageBytes
+	p.pageBytes = int64(dev.BlockSize())
+	p.pages = dev.Capacity() / p.pageBytes
 	if p.cache == nil {
 		p.cache = make(map[int64]struct{})
 	} else {
@@ -103,7 +96,7 @@ func (p *PageStore) Device() blockdev.Device { return p.dev }
 
 // pageOf maps a key to its page via a multiplicative hash.
 func (p *PageStore) pageOf(key uint64) int64 {
-	h := (key ^ p.cfg.Seed) * 0x9e3779b97f4a7c15
+	h := (key ^ pageSeed) * 0x9e3779b97f4a7c15
 	h ^= h >> 32
 	return int64(h % uint64(p.pages))
 }
@@ -137,7 +130,7 @@ func (p *PageStore) Put(key uint64, valueSize int64, done func()) {
 	if valueSize <= 0 {
 		panic("kv: value size must be positive")
 	}
-	if valueSize > p.cfg.PageBytes {
+	if valueSize > p.pageBytes {
 		panic("kv: value larger than a page; split keys upstream")
 	}
 	p.stats.Puts++
@@ -145,19 +138,19 @@ func (p *PageStore) Put(key uint64, valueSize int64, done func()) {
 	page := p.pageOf(key)
 	o := p.getOp()
 	o.done = done
-	o.off = page * p.cfg.PageBytes
+	o.off = page * p.pageBytes
 	if p.cacheTouch(page) {
 		o.write()
 		return
 	}
 	// Cache miss: fetch the page before modifying it.
 	p.stats.DeviceReads++
-	p.stats.DeviceReadBytes += p.cfg.PageBytes
+	p.stats.DeviceReadBytes += p.pageBytes
 	p.inflight++
 	o.reading = true
 	o.req.Op = blockdev.Read
 	o.req.Offset = o.off
-	o.req.Size = p.cfg.PageBytes
+	o.req.Size = p.pageBytes
 	p.dev.Submit(&o.req)
 }
 
@@ -173,17 +166,17 @@ func (p *PageStore) Get(key uint64, done func()) {
 	}
 	p.stats.CacheMisses++
 	p.stats.DeviceReads++
-	p.stats.DeviceReadBytes += p.cfg.PageBytes
+	p.stats.DeviceReadBytes += p.pageBytes
 	p.stats.GetReads++
 	p.inflight++
 	o := p.getOp()
 	o.done = done
-	o.off = page * p.cfg.PageBytes
+	o.off = page * p.pageBytes
 	o.reading = true
 	o.get = true
 	o.req.Op = blockdev.Read
 	o.req.Offset = o.off
-	o.req.Size = p.cfg.PageBytes
+	o.req.Size = p.pageBytes
 	p.dev.Submit(&o.req)
 }
 
@@ -245,11 +238,11 @@ func (p *PageStore) getOp() *pageOp {
 func (o *pageOp) write() {
 	p := o.p
 	p.stats.DeviceWrites++
-	p.stats.DeviceWriteBytes += p.cfg.PageBytes
+	p.stats.DeviceWriteBytes += p.pageBytes
 	p.inflight++
 	o.req.Op = blockdev.Write
 	o.req.Offset = o.off
-	o.req.Size = p.cfg.PageBytes
+	o.req.Size = p.pageBytes
 	p.dev.Submit(&o.req)
 }
 
